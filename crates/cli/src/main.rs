@@ -71,11 +71,11 @@
 
 use serde::Serialize;
 use stack_core::{
-    AnalysisSession, CheckStats, Checker, CheckerConfig, ScanEvent, ScanPipeline, ScanSource,
-    ScanStore, ScanTask,
+    AnalysisSession, CheckStats, Checker, CheckerConfig, ScanCodec, ScanEvent, ScanPipeline,
+    ScanSource, ScanStore, ScanTask,
 };
 use stack_opt::{lowest_discarding_level, survey_compilers};
-use stack_solver::DiskQueryStore;
+use stack_solver::{Codec, DiskQueryStore, QueryCodec, RecordStore};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -873,29 +873,6 @@ fn render_scan_summary(
 
 // ---- store ------------------------------------------------------------------
 
-/// Which persisted store a file holds, detected from its header line so
-/// `store merge`/`store inspect` work on both kinds without a flag.
-enum StoreKind {
-    Query,
-    Scan,
-}
-
-fn detect_store_kind(path: &Path) -> Result<StoreKind, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let first = text.lines().next().unwrap_or("");
-    if first.starts_with("stack-query-store") {
-        Ok(StoreKind::Query)
-    } else if first.starts_with("stack-scan-store") {
-        Ok(StoreKind::Scan)
-    } else {
-        Err(format!(
-            "{}: not a stack store file (header `{first}`)",
-            path.display()
-        ))
-    }
-}
-
 /// The positional (non-flag) arguments, skipping the values of
 /// `value_flags`.
 fn positionals(args: &[String], value_flags: &[&str]) -> Vec<String> {
@@ -917,6 +894,117 @@ fn positionals(args: &[String], value_flags: &[&str]) -> Vec<String> {
     out
 }
 
+/// A parsed `stack store` subcommand. Each runs one generic path for
+/// whichever store kind its subject file's header names.
+enum StoreCommand {
+    /// Output, inputs, compaction horizon.
+    Merge(PathBuf, Vec<PathBuf>, Option<u64>),
+    Inspect(PathBuf),
+    /// File, whether to repair it.
+    Fsck(PathBuf, bool),
+}
+
+const STORE_USAGE: [&str; 3] = [
+    "usage: stack store merge <out> <in...> [--compact N] [--json]",
+    "usage: stack store inspect <file> [--json]",
+    "usage: stack store fsck <file> [--repair] [--json]",
+];
+
+impl StoreCommand {
+    /// Parse `stack store <subcommand> ...`, reporting a usage error and
+    /// yielding the exit code when the arguments do not parse.
+    fn parse(args: &[String]) -> Result<StoreCommand, ExitCode> {
+        let usage = |text: &str| {
+            eprintln!("{text}");
+            ExitCode::from(2)
+        };
+        let rest = args.get(1..).unwrap_or_default();
+        match args.first().map(String::as_str) {
+            Some("merge") => {
+                let compact = match parse_flag_value::<u64>(rest, "--compact") {
+                    Ok(Some(0)) => return Err(fail("--compact needs a positive integer")),
+                    Ok(other) => other,
+                    Err(e) => return Err(fail(&e)),
+                };
+                let mut paths: Vec<PathBuf> = positionals(rest, &["--compact"])
+                    .into_iter()
+                    .map(PathBuf::from)
+                    .collect();
+                if paths.len() < 2 {
+                    return Err(usage(STORE_USAGE[0]));
+                }
+                let out = paths.remove(0);
+                Ok(StoreCommand::Merge(out, paths, compact))
+            }
+            Some(sub @ ("inspect" | "fsck")) => match positionals(rest, &[]).as_slice() {
+                [path] if sub == "inspect" => Ok(StoreCommand::Inspect(path.into())),
+                [path] => Ok(StoreCommand::Fsck(path.into(), has_flag(rest, "--repair"))),
+                _ => Err(usage(STORE_USAGE[usize::from(sub == "fsck") + 1])),
+            },
+            _ => Err(usage(&STORE_USAGE.join("\n"))),
+        }
+    }
+
+    /// The file whose header decides the store kind: the first merge
+    /// input (merge checks that every other input matches it), or the
+    /// inspected/checked file.
+    fn subject(&self) -> &Path {
+        match self {
+            StoreCommand::Merge(_, inputs, _) => &inputs[0],
+            StoreCommand::Inspect(path) | StoreCommand::Fsck(path, _) => path,
+        }
+    }
+
+    fn run<C: Codec>(&self, json: bool) -> Result<ExitCode, String> {
+        match self {
+            StoreCommand::Merge(out, inputs, compact) => {
+                store_merge::<C>(out, inputs, *compact, json)
+            }
+            StoreCommand::Inspect(path) => store_inspect::<C>(path, json),
+            StoreCommand::Fsck(path, repair) => store_fsck::<C>(path, *repair, json),
+        }
+    }
+}
+
+fn cmd_store(args: &[String]) -> ExitCode {
+    let command = match StoreCommand::parse(args) {
+        Ok(command) => command,
+        Err(code) => return code,
+    };
+    let path = command.subject();
+    let header = match header_line(path) {
+        Ok(header) => header,
+        Err(e) => return fail(&format!("cannot read {}: {e}", path.display())),
+    };
+    let run = match header.split(' ').next() {
+        Some(QueryCodec::HEADER_PREFIX) => StoreCommand::run::<QueryCodec>,
+        Some(ScanCodec::HEADER_PREFIX) => StoreCommand::run::<ScanCodec>,
+        _ => {
+            return fail(&format!(
+                "{}: not a stack store file (header `{header}`)",
+                path.display()
+            ))
+        }
+    };
+    run(&command, has_flag(args, "--json")).unwrap_or_else(|e| fail(&e))
+}
+
+/// The first line of the file at `path`, without its line terminator.
+fn header_line(path: &Path) -> std::io::Result<String> {
+    use std::io::BufRead;
+    let mut line = String::new();
+    std::io::BufReader::new(std::fs::File::open(path)?).read_line(&mut line)?;
+    Ok(line.trim_end_matches(['\n', '\r']).to_string())
+}
+
+/// Print `value` as pretty JSON.
+fn print_json(what: &str, value: &impl Serialize) -> Result<ExitCode, String> {
+    let json =
+        serde_json::to_string_pretty(value).map_err(|e| format!("cannot serialize {what}: {e}"))?;
+    println!("{json}");
+    Ok(ExitCode::SUCCESS)
+}
+
 /// `MergeStats` in the shape `--json` emits (the vendored serde has no
 /// map/foreign-type support, so the stats are restated locally).
 #[derive(Serialize)]
@@ -929,75 +1017,38 @@ struct MergeStatsJson {
     generation: u64,
 }
 
-fn cmd_store(args: &[String]) -> ExitCode {
-    match args.first().map(String::as_str) {
-        Some("merge") => cmd_store_merge(&args[1..]),
-        Some("inspect") => cmd_store_inspect(&args[1..]),
-        Some("fsck") => cmd_store_fsck(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: stack store merge <out> <in...> [--compact N] [--json]\n\
-                 usage: stack store inspect <file> [--json]\n\
-                 usage: stack store fsck <file> [--repair] [--json]"
-            );
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn cmd_store_merge(args: &[String]) -> ExitCode {
-    let compact = match parse_flag_value::<u64>(args, "--compact") {
-        Ok(Some(0)) => return fail("--compact needs a positive integer"),
-        Ok(other) => other,
-        Err(e) => return fail(&e),
-    };
-    let json = has_flag(args, "--json");
-    let mut paths = positionals(args, &["--compact"]);
-    if paths.len() < 2 {
-        eprintln!("usage: stack store merge <out> <in...> [--compact N] [--json]");
-        return ExitCode::from(2);
-    }
-    let out = PathBuf::from(paths.remove(0));
-    let inputs: Vec<PathBuf> = paths.into_iter().map(PathBuf::from).collect();
-    // Every input must be the kind the first one is; a mixed set trips the
-    // merge's own header check with a found-vs-expected message.
-    let stats = match detect_store_kind(&inputs[0]).and_then(|kind| {
-        match kind {
-            StoreKind::Query => DiskQueryStore::merge(&out, &inputs, compact),
-            StoreKind::Scan => ScanStore::merge(&out, &inputs, compact),
-        }
-        .map_err(|e| e.to_string())
-    }) {
-        Ok(stats) => stats,
-        Err(e) => return fail(&e),
-    };
+fn store_merge<C: Codec>(
+    out: &Path,
+    inputs: &[PathBuf],
+    compact: Option<u64>,
+    json: bool,
+) -> Result<ExitCode, String> {
+    let stats = RecordStore::<C>::merge(out, inputs, compact).map_err(|e| e.to_string())?;
     if json {
-        let stats = MergeStatsJson {
-            inputs: stats.inputs,
-            entries_in: stats.entries_in,
-            entries_out: stats.entries_out,
-            duplicates: stats.duplicates,
-            pruned: stats.pruned,
-            generation: stats.generation,
-        };
-        match serde_json::to_string_pretty(&stats) {
-            Ok(json) => println!("{json}"),
-            Err(e) => return fail(&format!("cannot serialize merge stats: {e}")),
-        }
-    } else {
-        println!(
-            "stack: merged {} stores into {}: {} entries in, {} out \
-             ({} duplicates, {} pruned; generation {})",
-            stats.inputs,
-            out.display(),
-            stats.entries_in,
-            stats.entries_out,
-            stats.duplicates,
-            stats.pruned,
-            stats.generation
+        return print_json(
+            "merge stats",
+            &MergeStatsJson {
+                inputs: stats.inputs,
+                entries_in: stats.entries_in,
+                entries_out: stats.entries_out,
+                duplicates: stats.duplicates,
+                pruned: stats.pruned,
+                generation: stats.generation,
+            },
         );
     }
-    ExitCode::SUCCESS
+    println!(
+        "stack: merged {} stores into {}: {} entries in, {} out \
+         ({} duplicates, {} pruned; generation {})",
+        stats.inputs,
+        out.display(),
+        stats.entries_in,
+        stats.entries_out,
+        stats.duplicates,
+        stats.pruned,
+        stats.generation
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
 /// One `last_used` histogram bucket of the `--json` inspection shape.
@@ -1028,26 +1079,15 @@ struct InspectionJson {
     last_used: Vec<LastUsedJson>,
 }
 
-fn cmd_store_inspect(args: &[String]) -> ExitCode {
-    let json = has_flag(args, "--json");
-    let paths = positionals(args, &[]);
-    let [path] = paths.as_slice() else {
-        eprintln!("usage: stack store inspect <file> [--json]");
-        return ExitCode::from(2);
-    };
-    let path = PathBuf::from(path);
-    let info = match detect_store_kind(&path).and_then(|kind| {
-        match kind {
-            StoreKind::Query => DiskQueryStore::inspect(&path),
-            StoreKind::Scan => ScanStore::inspect(&path),
-        }
-        .map_err(|e| e.to_string())
-    }) {
-        Ok(info) => info,
-        Err(e) => return fail(&e),
-    };
-    if json {
-        let info = InspectionJson {
+fn store_inspect<C: Codec>(path: &Path, json: bool) -> Result<ExitCode, String> {
+    let info = RecordStore::<C>::inspect(path).map_err(|e| e.to_string())?;
+    if !json {
+        println!("{}", info.render());
+        return Ok(ExitCode::SUCCESS);
+    }
+    print_json(
+        "inspection",
+        &InspectionJson {
             kind: info.kind.to_string(),
             format_version: info.format_version,
             encoding_revision: info.encoding_revision,
@@ -1067,68 +1107,8 @@ fn cmd_store_inspect(args: &[String]) -> ExitCode {
                     entries,
                 })
                 .collect(),
-        };
-        match serde_json::to_string_pretty(&info) {
-            Ok(json) => println!("{json}"),
-            Err(e) => return fail(&format!("cannot serialize inspection: {e}")),
-        }
-    } else {
-        println!("{}", info.render());
-    }
-    ExitCode::SUCCESS
-}
-
-/// Either persisted store behind one handle, so `store fsck` shares a
-/// single verdict path.
-enum AnyStore {
-    Query(Box<DiskQueryStore>),
-    Scan(ScanStore),
-}
-
-impl AnyStore {
-    fn open(path: &Path) -> Result<AnyStore, String> {
-        let kind = detect_store_kind(path)?;
-        match kind {
-            StoreKind::Query => DiskQueryStore::open(path).map(|s| AnyStore::Query(Box::new(s))),
-            StoreKind::Scan => ScanStore::open(path).map(AnyStore::Scan),
-        }
-        .map_err(|e| format!("cannot open {}: {e}", path.display()))
-    }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            AnyStore::Query(_) => "query",
-            AnyStore::Scan(_) => "scan",
-        }
-    }
-
-    fn was_invalidated(&self) -> bool {
-        match self {
-            AnyStore::Query(s) => s.was_invalidated(),
-            AnyStore::Scan(s) => s.was_invalidated(),
-        }
-    }
-
-    fn salvage(&self) -> Option<stack_solver::SalvageReport> {
-        match self {
-            AnyStore::Query(s) => s.salvage().copied(),
-            AnyStore::Scan(s) => s.salvage().copied(),
-        }
-    }
-
-    fn loaded_entries(&self) -> u64 {
-        match self {
-            AnyStore::Query(s) => s.loaded_entries(),
-            AnyStore::Scan(s) => s.loaded_entries(),
-        }
-    }
-
-    fn save(&self) -> std::io::Result<usize> {
-        match self {
-            AnyStore::Query(s) => s.save(),
-            AnyStore::Scan(s) => s.save(),
-        }
-    }
+        },
+    )
 }
 
 /// `store fsck` verdict in the shape `--json` emits.
@@ -1148,62 +1128,48 @@ struct FsckJson {
 /// `fsck` composes with `fsck --repair` the way the system tool does. An
 /// incompatible (foreign-revision) store is *never* repaired: its entries
 /// cannot be trusted at all, and the next analysis run rewrites it cold.
-fn cmd_store_fsck(args: &[String]) -> ExitCode {
-    let json = has_flag(args, "--json");
-    let repair = has_flag(args, "--repair");
-    let paths = positionals(args, &[]);
-    let [path] = paths.as_slice() else {
-        eprintln!("usage: stack store fsck <file> [--repair] [--json]");
-        return ExitCode::from(2);
-    };
-    let path = PathBuf::from(path);
-    let store = match AnyStore::open(&path) {
-        Ok(store) => store,
-        Err(e) => return fail(&e),
-    };
+fn store_fsck<C: Codec>(path: &Path, repair: bool, json: bool) -> Result<ExitCode, String> {
+    let store =
+        RecordStore::<C>::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+    let kind = C::KIND;
     if store.was_invalidated() {
-        return fail(&format!(
-            "{}: incompatible {} store (written by a different revision); not repairable — the \
-             next analysis run starts cold and rewrites it",
-            path.display(),
-            store.kind()
+        return Err(format!(
+            "{}: incompatible {kind} store (written by a different revision); not repairable — \
+             the next analysis run starts cold and rewrites it",
+            path.display()
         ));
     }
-    let salvage = store.salvage();
+    let salvage = store.salvage().copied();
     let damaged = salvage.is_some();
     let repaired = damaged && repair;
     if repaired {
-        if let Err(e) = store.save() {
-            return fail(&format!("cannot repair {}: {e}", path.display()));
-        }
+        store
+            .save()
+            .map_err(|e| format!("cannot repair {}: {e}", path.display()))?;
     }
+    let entries = store.loaded_entries();
     if json {
-        let verdict = FsckJson {
-            kind: store.kind().to_string(),
-            compatible: true,
-            clean: !damaged,
-            repaired,
-            entries: store.loaded_entries(),
-            dropped_lines: salvage.map_or(0, |s| s.dropped_lines),
-            first_bad_offset: salvage.and_then(|s| s.first_bad_offset),
-        };
-        match serde_json::to_string_pretty(&verdict) {
-            Ok(json) => println!("{json}"),
-            Err(e) => return fail(&format!("cannot serialize fsck verdict: {e}")),
-        }
+        print_json(
+            "fsck verdict",
+            &FsckJson {
+                kind: kind.to_string(),
+                compatible: true,
+                clean: !damaged,
+                repaired,
+                entries,
+                dropped_lines: salvage.map_or(0, |s| s.dropped_lines),
+                first_bad_offset: salvage.and_then(|s| s.first_bad_offset),
+            },
+        )?;
     } else {
         match &salvage {
             None => println!(
-                "stack: {}: clean {} store ({} entries)",
-                path.display(),
-                store.kind(),
-                store.loaded_entries()
+                "stack: {}: clean {kind} store ({entries} entries)",
+                path.display()
             ),
             Some(salvage) if repaired => println!(
-                "stack: {}: repaired {} store — kept {} entries, dropped {} bad line(s)",
+                "stack: {}: repaired {kind} store — kept {entries} entries, dropped {} bad line(s)",
                 path.display(),
-                store.kind(),
-                store.loaded_entries(),
                 salvage.dropped_lines
             ),
             Some(salvage) => println!(
@@ -1213,11 +1179,11 @@ fn cmd_store_fsck(args: &[String]) -> ExitCode {
             ),
         }
     }
-    if damaged && !repaired {
+    Ok(if damaged && !repaired {
         ExitCode::from(2)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 // ---- bench ------------------------------------------------------------------

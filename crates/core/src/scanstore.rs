@@ -25,39 +25,18 @@
 //! recorded them — which is exactly what lets shard scans that saw the
 //! same function under different paths merge without conflict.
 //!
-//! The file discipline is the one the query store established:
+//! The file discipline — versioned header, per-line checksums and salvage,
+//! generations and compaction, atomic saves, merge, inspect — is the
+//! generic record file of [`stack_solver::RecordStore`]. The header carries
+//! [`FINGERPRINT_REVISION`] besides the format version and
+//! [`ENCODING_REVISION`](stack_solver::ENCODING_REVISION); a v3
+//! module-keyed store self-invalidates on the version mismatch — that *is*
+//! the migration. The replay keys additionally bake both revisions and the
+//! semantics-relevant config knobs into their own bits, so even a
+//! same-format file can never replay reports computed under different
+//! semantics.
 //!
-//! * **versioned header** — format version,
-//!   [`ENCODING_REVISION`](stack_solver::ENCODING_REVISION), and
-//!   [`FINGERPRINT_REVISION`]; any mismatch discards the whole file and
-//!   [`was_invalidated`] reports it (a v3 module-keyed store
-//!   self-invalidates the same way — that *is* the migration). The replay
-//!   keys additionally bake both revisions and the semantics-relevant
-//!   config knobs into their own bits, so even a same-format file can
-//!   never replay reports computed under different semantics.
-//! * **atomic saves** — serialize to a pid-suffixed temp file, rename over
-//!   the target; a crash mid-save never leaves a truncated store.
-//! * **per-line checksums and salvage** — every body line carries a
-//!   trailing ` !<crc32>`. A torn, truncated, or bit-flipped body is
-//!   salvaged entry by entry at [`open`](ScanStore::open): a function
-//!   record survives only if its `F` line and all of its `R` lines verify
-//!   and parse; everything else is dropped and counted
-//!   ([`salvage`](ScanStore::salvage)), and the next save rewrites the
-//!   file canonically. Duplicate keys (a torn write splicing two file
-//!   versions) keep the first record.
-//! * **byte-determinism** — entries sorted by key, reports kept in their
-//!   recorded order; saving the same logical store twice produces
-//!   byte-identical files.
-//! * **generations and compaction** — every [`open`](ScanStore::open)
-//!   starts a new generation (the persisted one plus one); a lookup hit or
-//!   an insert stamps its record with it, and with
-//!   [`set_compaction`](ScanStore::set_compaction)`(Some(n))` a save drops
-//!   records unused for `n` or more generations. Without compaction a
-//!   long-lived shared store accumulates the key of every function version
-//!   it ever saw; with it, dead keys age out exactly like the query
-//!   store's dead entries.
-//!
-//! ## Format
+//! ## Line syntax
 //!
 //! ```text
 //! stack-scan-store v4 enc1 fpr2 gen3
@@ -65,40 +44,18 @@
 //! R <alg> <line> <cg> <function> <file> <description> u <kind>@<loc> ... !<crc32>
 //! ```
 //!
-//! `F` opens one function entry (last-used generation stamp, replay key in
+//! `F` opens one function record (last-used stamp, replay key in
 //! lower-case hex, report count); exactly `r` `R` lines follow, one per
-//! raw report in discovery order; every line ends with its CRC-32. String
-//! fields are percent-escaped so they never contain whitespace or `%`; the
-//! path placeholder is the (never-graphic) byte `0x01`, escaped as `%01`.
-//!
-//! ## Merging
-//!
-//! [`merge`](ScanStore::merge) folds several scan-store files into one —
-//! the distributed-scan fan-in: shard scans record disjoint (or, thanks to
-//! path normalization, byte-identical) function sets, and the merged store
-//! warm-starts the next full scan. Merge semantics match the query
-//! store's: strict header compatibility (a revision mismatch is a loud
-//! [`MergeError::Incompatible`], never a silent discard), duplicate keys
-//! assert record equality, stamps take the max, and the output is written
-//! through the same atomic byte-deterministic path.
-//!
-//! [`was_invalidated`]: ScanStore::was_invalidated
+//! raw report in discovery order. A record survives salvage only if all of
+//! its lines verify. String fields are percent-escaped so they never
+//! contain whitespace, `@`, or `%`; the path placeholder is the
+//! (never-graphic) byte `0x01`, escaped as `%01`.
 
 use crate::fingerprint::{FunctionKey, FINGERPRINT_REVISION};
 use crate::report::{Algorithm, BugReport, UbSource};
 use crate::ubcond::UbKind;
-use stack_solver::store::{
-    body_lines, check_header_compatible, inspect_text, verify_checksummed_line,
-    write_checksummed_line,
-};
-use stack_solver::{MergeError, MergeStats, SalvageReport, StoreInspection};
-use std::collections::HashMap;
-use std::collections::HashSet;
+use stack_solver::{Codec, RecordLines, RecordStore, RecordWriter};
 use std::fmt::Write as _;
-use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// On-disk layout version of the scan-store file. Bump when the syntax
 /// changes. (v2 added the header generation and per-record last-used
@@ -109,24 +66,11 @@ use std::sync::Mutex;
 /// cache does.)
 pub const SCAN_STORE_FORMAT_VERSION: u32 = 4;
 
-/// The first token of every scan-store header line.
-const SCAN_STORE_HEADER_PREFIX: &str = "stack-scan-store";
-
 /// The in-record stand-in for the recording module's file name. A control
 /// byte, so it can never collide with a real (percent-escaped, graphic)
 /// path, and never survives into user-visible reports — replay always
 /// substitutes the scanning module's name.
 const PATH_PLACEHOLDER: &str = "\u{1}";
-
-/// The header fields (beyond the format version) that must match the
-/// running binary for a file to be loaded or merged.
-fn expected_header_fields() -> [(&'static str, u64); 3] {
-    [
-        ("v", u64::from(SCAN_STORE_FORMAT_VERSION)),
-        ("enc", u64::from(stack_solver::ENCODING_REVISION)),
-        ("fpr", u64::from(FINGERPRINT_REVISION)),
-    ]
-}
 
 /// The replayable record of one analyzed function: its raw (pre-filter)
 /// reports in discovery order, path-normalized. Build with
@@ -186,360 +130,61 @@ fn rewrite_report_path(report: &BugReport, from: &str, to: &str) -> BugReport {
     out
 }
 
-/// Hit/miss counters of a scan store (lifetime of this instance).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ScanStoreStats {
-    /// Lookups answered from the store (functions skipped).
-    pub hits: u64,
-    /// Lookups that missed (functions analyzed and, when clean, recorded).
-    pub misses: u64,
-    /// Function records currently stored.
-    pub entries: u64,
-}
-
-/// A disk-backed replay-key → function-record table. Shared across the
-/// scan pipeline's file-level workers through an `Arc`, so all methods
-/// take `&self`. Each record carries its last-used generation stamp.
+/// The scan store's record syntax: an `F` line plus one `R` line per
+/// report.
 #[derive(Debug)]
-pub struct ScanStore {
-    path: PathBuf,
-    records: Mutex<HashMap<FunctionKey, (FunctionRecord, u64)>>,
-    generation: u64,
-    compact_after: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    loaded: u64,
-    invalidated: bool,
-    /// Set when `open` had to drop bad lines from a torn or corrupted
-    /// body (`None` for a clean or missing file).
-    salvage: Option<SalvageReport>,
-}
+pub struct ScanCodec;
 
-impl ScanStore {
-    /// The header line a store written by this binary carries, stamped
-    /// with the saving run's generation.
-    fn header(generation: u64) -> String {
-        format!(
-            "stack-scan-store v{SCAN_STORE_FORMAT_VERSION} enc{} fpr{FINGERPRINT_REVISION} gen{generation}",
-            stack_solver::ENCODING_REVISION
-        )
+/// A disk-backed replay-key → function-record table, persisted as a record
+/// file. Shared across the scan pipeline's file-level workers through an
+/// `Arc`. See the module docs for the line syntax and
+/// [`RecordStore`] for the file discipline.
+pub type ScanStore = RecordStore<ScanCodec>;
+
+impl Codec for ScanCodec {
+    const KIND: &'static str = "scan";
+    const HEADER_PREFIX: &'static str = "stack-scan-store";
+    const REVISIONS: &'static [(&'static str, u64)] = &[
+        ("v", SCAN_STORE_FORMAT_VERSION as u64),
+        ("enc", stack_solver::ENCODING_REVISION as u64),
+        ("fpr", FINGERPRINT_REVISION as u64),
+    ];
+    type Key = FunctionKey;
+    type Value = FunctionRecord;
+
+    fn key_text(key: &FunctionKey) -> String {
+        format!("{key:032x}")
     }
 
-    /// Open a store backed by `path`, loading every persisted record and
-    /// starting a new generation (the persisted one plus one; 1 for a
-    /// fresh store). A missing file yields an empty store; a mismatched
-    /// header discards the file wholesale
-    /// ([`was_invalidated`](Self::was_invalidated) reports it). A
-    /// compatible file with torn or corrupted body lines loads every
-    /// record that checksums and parses, drops the rest, and reports the
-    /// damage through [`salvage`](Self::salvage). Only I/O failures are
-    /// errors.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<ScanStore> {
-        let path = path.into();
-        let mut store = ScanStore {
-            path,
-            records: Mutex::new(HashMap::new()),
-            generation: 1,
-            compact_after: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            loaded: 0,
-            invalidated: false,
-            salvage: None,
-        };
-        let text = match std::fs::read_to_string(&store.path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(store),
-            Err(e) => return Err(e),
-        };
-        match parse_store(&text) {
-            Some((file_generation, records, salvage)) => {
-                store.generation = file_generation + 1;
-                store.loaded = records.len() as u64;
-                *store.records.get_mut().unwrap() = records;
-                if !salvage.is_clean() {
-                    store.salvage = Some(salvage);
-                }
-            }
-            None => store.invalidated = true,
-        }
-        Ok(store)
-    }
-
-    /// Look up the record for a replay key, counting a hit or miss. A hit
-    /// refreshes the record's last-used stamp to this run's generation.
-    pub fn lookup(&self, key: FunctionKey) -> Option<FunctionRecord> {
-        let found = match self
-            .records
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get_mut(&key)
-        {
-            Some(slot) => {
-                slot.1 = self.generation;
-                Some(slot.0.clone())
-            }
-            None => None,
-        };
-        match found {
-            Some(record) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(record)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Record a freshly analyzed function, stamped with this run's
-    /// generation. First insert wins for the record itself (normalized
-    /// records for one key are identical by construction).
-    pub fn insert(&self, key: FunctionKey, record: FunctionRecord) {
-        match self
-            .records
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .entry(key)
-        {
-            std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                occupied.get_mut().1 = self.generation;
-            }
-            std::collections::hash_map::Entry::Vacant(vacant) => {
-                vacant.insert((record, self.generation));
-            }
-        }
-    }
-
-    /// Write every record back to the backing file (temp file + rename, so a
-    /// crash never truncates the store; entries sorted by key, so saving
-    /// the same logical store twice is byte-identical). When a compaction
-    /// horizon is set ([`set_compaction`](Self::set_compaction)), records
-    /// unused for that many generations are dropped. Returns the number of
-    /// function records written.
-    pub fn save(&self) -> io::Result<usize> {
-        let compact = self.compact_after.load(Ordering::Relaxed);
-        let mut entries: Vec<(FunctionKey, FunctionRecord, u64)> = self
-            .records
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .filter(|(_, (_, stamp))| compact == 0 || self.generation - stamp < compact)
-            .map(|(key, (record, stamp))| (*key, record.clone(), *stamp))
-            .collect();
-        entries.sort_by_key(|(key, _, _)| *key);
-        write_scan_store_file(&self.path, self.generation, &entries)?;
-        Ok(entries.len())
-    }
-
-    /// Merge several scan-store files into one at `out` — the
-    /// distributed-scan fan-in. Strict where [`open`](Self::open) is
-    /// forgiving: a revision-mismatched or malformed input is a loud
-    /// error, duplicate keys must carry byte-identical records (their
-    /// stamps take the max — path normalization guarantees this for the
-    /// same function recorded by different shards under different paths),
-    /// and the output header's generation is the max across inputs. With
-    /// `compact_after = Some(n)`, merged records unused for `n` or more
-    /// generations are pruned. The output is written through the same
-    /// atomic byte-deterministic path as [`save`](Self::save).
-    pub fn merge(
-        out: impl AsRef<Path>,
-        inputs: &[PathBuf],
-        compact_after: Option<u64>,
-    ) -> Result<MergeStats, MergeError> {
-        let mut merged: HashMap<FunctionKey, (FunctionRecord, u64)> = HashMap::new();
-        let mut stats = MergeStats {
-            inputs: inputs.len(),
-            ..MergeStats::default()
-        };
-        for path in inputs {
-            let text = std::fs::read_to_string(path).map_err(|error| MergeError::Io {
-                path: path.clone(),
-                error,
-            })?;
-            check_header_compatible(
-                text.lines().next().unwrap_or(""),
-                SCAN_STORE_HEADER_PREFIX,
-                &expected_header_fields(),
-            )
-            .map_err(|reason| MergeError::Incompatible {
-                path: path.clone(),
-                reason,
-            })?;
-            let (file_generation, records, salvage) =
-                parse_store(&text).ok_or_else(|| MergeError::Incompatible {
-                    path: path.clone(),
-                    reason: "malformed store content".to_string(),
-                })?;
-            // A store that needed salvage may have lost records; a merge
-            // must never bake the loss into a fleet-shared artifact.
-            if !salvage.is_clean() {
-                return Err(MergeError::Incompatible {
-                    path: path.clone(),
-                    reason: format!(
-                        "store needs salvage ({} bad line{}); run fsck --repair before merging",
-                        salvage.dropped_lines,
-                        if salvage.dropped_lines == 1 { "" } else { "s" }
-                    ),
-                });
-            }
-            stats.generation = stats.generation.max(file_generation);
-            stats.entries_in += records.len() as u64;
-            for (key, (record, stamp)) in records {
-                match merged.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                        stats.duplicates += 1;
-                        if occupied.get().0 != record {
-                            return Err(MergeError::Conflict {
-                                path: path.clone(),
-                                key: format!("{key:032x}"),
-                            });
-                        }
-                        let slot = occupied.get_mut();
-                        slot.1 = slot.1.max(stamp);
-                    }
-                    std::collections::hash_map::Entry::Vacant(vacant) => {
-                        vacant.insert((record, stamp));
-                    }
-                }
-            }
-        }
-        let compact = compact_after.unwrap_or(0);
-        let generation = stats.generation.max(1);
-        stats.generation = generation;
-        let mut entries: Vec<(FunctionKey, FunctionRecord, u64)> = merged
-            .into_iter()
-            .filter(|(_, (_, stamp))| compact == 0 || generation - stamp < compact)
-            .map(|(key, (record, stamp))| (key, record, stamp))
-            .collect();
-        entries.sort_by_key(|(key, _, _)| *key);
-        stats.entries_out = entries.len() as u64;
-        stats.pruned = stats.entries_in - stats.duplicates - stats.entries_out;
-        write_scan_store_file(out.as_ref(), generation, &entries).map_err(|error| {
-            MergeError::Io {
-                path: out.as_ref().to_path_buf(),
-                error,
-            }
-        })?;
-        Ok(stats)
-    }
-
-    /// Read the store file at `path` for debugging: header revisions,
-    /// generation, entry count, and a last-used-stamp histogram — without
-    /// the all-or-nothing discard [`open`](Self::open) applies, so a store
-    /// a merge rejected can still be examined. Only the header must parse;
-    /// a body in an unknown line format reports `malformed` instead of
-    /// failing.
-    pub fn inspect(path: impl AsRef<Path>) -> Result<StoreInspection, MergeError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|error| MergeError::Io {
-            path: path.to_path_buf(),
-            error,
-        })?;
-        inspect_text(
-            &text,
-            "scan",
-            SCAN_STORE_HEADER_PREFIX,
-            &expected_header_fields(),
-            |text, generation| {
-                let body_start = text.lines().next().map_or(0, |l| l.len() + 1);
-                let (entries, salvage) = parse_body(text, body_start, generation);
-                (
-                    entries.into_iter().map(|(_, _, stamp)| stamp).collect(),
-                    salvage,
-                )
-            },
-        )
-        .ok_or_else(|| MergeError::Incompatible {
-            path: path.to_path_buf(),
-            reason: format!("not a {SCAN_STORE_HEADER_PREFIX} file"),
-        })
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> ScanStoreStats {
-        ScanStoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .records
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .len() as u64,
-        }
-    }
-
-    /// Number of function records loaded from disk at [`open`](Self::open).
-    pub fn loaded_entries(&self) -> u64 {
-        self.loaded
-    }
-
-    /// This run's generation: the persisted one plus one (1 for a fresh
-    /// store). Every save stamps the header — and every record this run
-    /// looked up or inserted — with it.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Set (or clear) the compaction horizon: at [`save`](Self::save),
-    /// records whose last-used stamp is `n` or more generations old are
-    /// pruned. `None` (the default) keeps everything forever.
-    pub fn set_compaction(&self, n: Option<u64>) {
-        self.compact_after.store(n.unwrap_or(0), Ordering::Relaxed);
-    }
-
-    /// Whether `open` found a file it had to discard (written by a different
-    /// format/encoding/fingerprint revision — including pre-v4
-    /// module-keyed stores).
-    pub fn was_invalidated(&self) -> bool {
-        self.invalidated
-    }
-
-    /// The damage report when `open` had to drop bad lines from a torn or
-    /// corrupted body; `None` when the file loaded clean (or was missing
-    /// or invalidated wholesale).
-    pub fn salvage(&self) -> Option<&SalvageReport> {
-        self.salvage.as_ref()
-    }
-
-    /// The backing file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-/// Write a complete scan-store file — header at `generation`, then the
-/// given (already sorted) entries — atomically via a pid-suffixed sibling
-/// temp file and rename, byte-deterministic in its inputs. Shared by
-/// [`ScanStore::save`] and [`ScanStore::merge`].
-fn write_scan_store_file(
-    path: &Path,
-    generation: u64,
-    entries: &[(FunctionKey, FunctionRecord, u64)],
-) -> io::Result<()> {
-    let mut out = ScanStore::header(generation);
-    out.push('\n');
-    for (key, record, stamp) in entries {
-        write_checksummed_line(
-            &mut out,
-            &format!("F g{stamp} {key:032x} r{}", record.reports.len()),
-        );
+    fn write_record(key: &FunctionKey, record: &FunctionRecord, out: &mut RecordWriter<'_>) {
+        out.head("F", |line| {
+            let _ = write!(line, "{key:032x} r{}", record.reports.len());
+        });
         for report in &record.reports {
-            write_checksummed_line(&mut out, &report_payload(report));
+            out.line(|line| write_report(line, report));
         }
     }
-    let mut tmp = path.to_path_buf().into_os_string();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, &out)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+
+    fn parse_record(
+        tag: &str,
+        fields: &str,
+        more: &mut RecordLines<'_, '_>,
+    ) -> Option<(FunctionKey, FunctionRecord)> {
+        if tag != "F" {
+            return None;
+        }
+        let (key, count) = fields.split_once(' ')?;
+        let key = u128::from_str_radix(key, 16).ok()?;
+        let count: usize = count.strip_prefix('r')?.parse().ok()?;
+        let reports = (0..count)
+            .map(|_| more.next_line(parse_report))
+            .collect::<Option<_>>()?;
+        Some((key, FunctionRecord { reports }))
+    }
 }
 
-/// Render one report as an `R` line payload (checksummed by the caller).
-fn report_payload(report: &BugReport) -> String {
-    let mut out = String::new();
+/// Append one report as an `R` line payload.
+fn write_report(out: &mut String, report: &BugReport) {
     let _ = write!(
         out,
         "R {} {} {} {} {} {}",
@@ -558,112 +203,6 @@ fn report_payload(report: &BugReport) -> String {
             escape(&src.location)
         );
     }
-    out
-}
-
-/// Parse a whole store file into its header generation, its verifiable
-/// records, and the salvage report describing what was dropped. `None`
-/// only on a header mismatch — a file written by a different revision
-/// cannot be trusted at all; a file with a good header is salvaged record
-/// by record.
-#[allow(clippy::type_complexity)]
-fn parse_store(
-    text: &str,
-) -> Option<(
-    u64,
-    HashMap<FunctionKey, (FunctionRecord, u64)>,
-    SalvageReport,
-)> {
-    let first = text.lines().next()?;
-    let generation: u64 = first
-        .strip_prefix(&format!(
-            "stack-scan-store v{SCAN_STORE_FORMAT_VERSION} enc{} fpr{FINGERPRINT_REVISION} gen",
-            stack_solver::ENCODING_REVISION
-        ))?
-        .parse()
-        .ok()?;
-    let (entries, salvage) = parse_body(text, first.len() + 1, generation);
-    Some((
-        generation,
-        entries
-            .into_iter()
-            .map(|(key, record, stamp)| (key, (record, stamp)))
-            .collect(),
-        salvage,
-    ))
-}
-
-/// Salvage-parse the function records of a store body (everything from
-/// `body_start` on). The salvage unit is one record: an `F` line plus its
-/// `r` `R` lines. A record survives only if every one of its lines
-/// checksums and parses, its stamp is not from the future, and its key was
-/// not already seen (a duplicate is the signature of a torn write — the
-/// first record wins). A failed record drops its `F` line and
-/// resynchronizes at the next line, so orphaned `R` lines after damage
-/// drop individually.
-#[allow(clippy::type_complexity)]
-fn parse_body(
-    text: &str,
-    body_start: usize,
-    generation: u64,
-) -> (Vec<(FunctionKey, FunctionRecord, u64)>, SalvageReport) {
-    let mut entries = Vec::new();
-    let mut seen = HashSet::new();
-    let mut salvage = SalvageReport::default();
-    let mut lines = body_lines(text, body_start).peekable();
-    while let Some((line, offset, terminated)) = lines.next() {
-        let header = if terminated {
-            verify_checksummed_line(line).and_then(|payload| parse_entry_line(payload, generation))
-        } else {
-            None
-        };
-        let Some((key, stamp, nreports)) = header else {
-            salvage.bad(offset);
-            continue;
-        };
-        let mut reports = Vec::with_capacity(nreports);
-        while reports.len() < nreports {
-            let parsed = match lines.peek() {
-                Some(&(rline, _, rterminated)) if rterminated => {
-                    verify_checksummed_line(rline).and_then(parse_report)
-                }
-                _ => None,
-            };
-            match parsed {
-                Some(report) => {
-                    lines.next();
-                    reports.push(report);
-                }
-                // Leave the offending line for the outer loop: it is
-                // counted (and resynchronized on) as its own bad line.
-                None => break,
-            }
-        }
-        if reports.len() < nreports || !seen.insert(key) {
-            salvage.bad(offset);
-            continue;
-        }
-        entries.push((key, FunctionRecord { reports }, stamp));
-        salvage.entry();
-    }
-    (entries, salvage)
-}
-
-/// Parse one verified `F` line payload into (key, stamp, report count).
-/// Stamps from beyond `generation` are malformed.
-fn parse_entry_line(payload: &str, generation: u64) -> Option<(u128, u64, usize)> {
-    let rest = payload.strip_prefix("F ")?;
-    let mut parts = rest.split(' ');
-    let stamp: u64 = parts.next()?.strip_prefix('g')?.parse().ok()?;
-    if stamp > generation {
-        return None;
-    }
-    let key = u128::from_str_radix(parts.next()?, 16).ok()?;
-    let nreports: usize = parts.next()?.strip_prefix('r')?.parse().ok()?;
-    if parts.next().is_some() {
-        return None;
-    }
-    Some((key, stamp, nreports))
 }
 
 /// Parse one `R` line back into a report.
@@ -771,6 +310,59 @@ fn unescape(text: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    stack_solver::record_store_suite!(ScanCodec {
+        save_is_deterministic => save_is_byte_deterministic,
+        mismatched_revisions_self_invalidate => mismatched_revision_self_invalidates,
+        bad_lines_are_salvaged => bad_records_are_salvaged_not_fatal,
+        duplicate_keys_keep_the_first => duplicate_keys_keep_the_first_record,
+        truncated_store_salvages_the_intact_prefix => truncated_store_salvages_the_intact_prefix,
+        missing_file_is_an_empty_store => missing_file_is_an_empty_store,
+        stamps_refresh_on_use => generations_advance_and_stamps_refresh_on_use,
+        compaction_prunes_unused_records => compaction_prunes_unused_records,
+        merge_unions_records_and_counts_duplicates => merge_unions_entries_and_counts_duplicates,
+        merge_with_itself_is_the_identity => merge_with_itself_is_the_identity,
+        merge_takes_max_stamps_and_compacts => merge_takes_max_stamps_and_compacts,
+        merge_rejects_stores_that_need_salvage => merge_rejects_stores_that_need_salvage,
+        failed_merge_leaves_no_temp_file => failed_merge_leaves_no_temp_file,
+        inspect_reads_incompatible_headers => inspect_reads_headers_even_when_incompatible,
+    });
+
+    #[test]
+    fn merge_rejects_incompatible_and_conflicting_inputs_loudly() {
+        suite::merge_rejects_incompatible_inputs::<ScanCodec>();
+        suite::merge_rejects_conflicting_values::<ScanCodec>();
+    }
+
+    impl suite::Fixture for ScanCodec {
+        fn key(i: u8) -> FunctionKey {
+            u128::from(i) + 1
+        }
+
+        /// Value `v` holds `v` reports: 0 is a one-line record.
+        fn value(v: u8) -> FunctionRecord {
+            record(&(0..u32::from(v)).map(|j| 10 * j + 1).collect::<Vec<_>>())
+        }
+
+        fn lookup(store: &ScanStore, key: &FunctionKey) -> Option<FunctionRecord> {
+            store.lookup(*key)
+        }
+
+        fn insert(store: &ScanStore, key: FunctionKey, value: FunctionRecord) {
+            store.insert(key, value);
+        }
+
+        fn bad_payloads() -> Vec<&'static str> {
+            vec![
+                "F 3 r0",         // stamp missing
+                "F g2 3 r0",      // stamp beyond the header generation
+                "F g1 nothex r0", // bad key
+                "F g1 3 r1",      // missing R line
+            ]
+        }
+    }
 
     fn temp_path(tag: &str) -> PathBuf {
         static UNIQUE: AtomicU64 = AtomicU64::new(0);
@@ -872,101 +464,12 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    #[test]
-    fn save_is_byte_deterministic() {
-        let path = temp_path("deterministic");
-        let store = ScanStore::open(&path).unwrap();
-        for key in [9u128, 1, 4] {
-            store.insert(key, record(&[key as u32]));
-        }
-        store.save().unwrap();
-        let first = std::fs::read_to_string(&path).unwrap();
-        // Saving the same store again (same run, same generation) is
-        // byte-identical.
-        store.save().unwrap();
-        let second = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(first, second);
-        // A re-open starts the next generation: an untouched store differs
-        // from the previous file only in the header's generation.
-        let reloaded = ScanStore::open(&path).unwrap();
-        assert_eq!(reloaded.generation(), store.generation() + 1);
-        reloaded.save().unwrap();
-        let third = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(
-            first.split_once('\n').unwrap().1,
-            third.split_once('\n').unwrap().1,
-            "record lines (incl. last-used stamps) unchanged when nothing was touched"
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
     /// One checksummed body line (payload + valid CRC + newline).
     fn line(payload: &str) -> String {
-        let mut out = String::new();
-        write_checksummed_line(&mut out, payload);
-        out
-    }
-
-    #[test]
-    fn mismatched_revision_self_invalidates() {
-        let bad_headers = [
-            // The v3 module-keyed format (its fpr1 keys died with it).
-            "stack-scan-store v3 enc1 fpr1 gen1\n".to_string(),
-            format!(
-                "stack-scan-store v{SCAN_STORE_FORMAT_VERSION} enc999 fpr{FINGERPRINT_REVISION} gen1\n"
-            ),
-        ];
-        for header in &bad_headers {
-            let path = temp_path("stale");
-            std::fs::write(&path, format!("{header}{}", line("F g1 1 r0"))).unwrap();
-            let store = ScanStore::open(&path).unwrap();
-            assert!(store.was_invalidated(), "header {header:?}");
-            assert_eq!(store.loaded_entries(), 0);
-            std::fs::remove_file(&path).unwrap();
-        }
-    }
-
-    #[test]
-    fn bad_records_are_salvaged_not_fatal() {
-        for bad in [
-            "garbage\n".to_string(),
-            line("F 3 r0"),         // stamp missing
-            line("F g2 3 r0"),      // stamp beyond the header generation
-            line("F g1 nothex r0"), // bad key
-            line("F g1 3 r1"),      // missing R line
-        ] {
-            let path = temp_path("salvaged");
-            // One good record on each side of the damage.
-            std::fs::write(
-                &path,
-                format!(
-                    "{}\n{}{bad}{}",
-                    ScanStore::header(1),
-                    line("F g1 1 r0"),
-                    line("F g1 2 r0")
-                ),
-            )
-            .unwrap();
-            let store = ScanStore::open(&path).unwrap();
-            assert!(!store.was_invalidated(), "bad {bad:?}");
-            assert_eq!(store.loaded_entries(), 2, "bad {bad:?}");
-            assert!(store.lookup(1).is_some());
-            assert!(store.lookup(2).is_some());
-            let salvage = *store.salvage().expect("damage must be reported");
-            assert_eq!(salvage.dropped_lines, 1, "bad {bad:?}");
-            assert_eq!(salvage.valid_prefix_entries, 1);
-            assert_eq!(salvage.salvaged_entries, 2);
-            assert_eq!(
-                salvage.first_bad_offset,
-                Some((ScanStore::header(1).len() + 1 + line("F g1 1 r0").len()) as u64)
-            );
-            // A save rewrites the file canonically; the re-open is clean.
-            store.save().unwrap();
-            let healed = ScanStore::open(&path).unwrap();
-            assert_eq!(healed.loaded_entries(), 2);
-            assert!(healed.salvage().is_none());
-            std::fs::remove_file(&path).unwrap();
-        }
+        format!(
+            "{payload} !{:08x}\n",
+            stack_solver::crc32(payload.as_bytes())
+        )
     }
 
     #[test]
@@ -978,8 +481,9 @@ mod tests {
         std::fs::write(
             &path,
             format!(
-                "{}\n{}{}{}",
-                ScanStore::header(1),
+                "stack-scan-store v{SCAN_STORE_FORMAT_VERSION} enc{} fpr{FINGERPRINT_REVISION} \
+                 gen1\n{}{}{}",
+                stack_solver::ENCODING_REVISION,
                 line("F g1 1 r1"),
                 line("R wat 1 0 f g d"),
                 line("F g1 2 r0")
@@ -995,308 +499,6 @@ mod tests {
         assert_eq!(salvage.dropped_lines, 2);
         assert_eq!(salvage.valid_prefix_entries, 0);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn duplicate_keys_keep_the_first_record() {
-        let path = temp_path("dup");
-        std::fs::write(
-            &path,
-            format!(
-                "{}\n{}{}{}",
-                ScanStore::header(2),
-                line("F g2 1 r1"),
-                line(&report_payload(&sample_report(3))),
-                line("F g1 1 r0")
-            ),
-        )
-        .unwrap();
-        let store = ScanStore::open(&path).unwrap();
-        assert!(!store.was_invalidated());
-        assert_eq!(store.loaded_entries(), 1);
-        assert_eq!(
-            store.lookup(1).unwrap().reports.len(),
-            1,
-            "first record wins"
-        );
-        assert_eq!(store.salvage().unwrap().dropped_lines, 1);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn truncated_store_salvages_the_intact_prefix() {
-        let path = store_with("truncate", &[(1, 1), (2, 2), (3, 3)]);
-        let full = std::fs::read(&path).unwrap();
-        // Cut mid-way through the final record's R line: records 1 and 2
-        // survive, the torn record drops.
-        std::fs::write(&path, &full[..full.len() - 4]).unwrap();
-        let store = ScanStore::open(&path).unwrap();
-        assert!(!store.was_invalidated());
-        assert_eq!(store.loaded_entries(), 2);
-        assert!(store.lookup(1).is_some());
-        assert!(store.lookup(2).is_some());
-        assert!(store.lookup(3).is_none());
-        let salvage = store.salvage().unwrap();
-        assert_eq!(salvage.valid_prefix_entries, 2);
-        assert!(salvage.dropped_lines >= 1);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn merge_rejects_stores_that_need_salvage() {
-        let good = store_with("merge-salvage-good", &[(1, 1)]);
-        let torn = temp_path("merge-salvage-torn");
-        std::fs::write(
-            &torn,
-            format!("{}\n{}garbage\n", ScanStore::header(1), line("F g1 2 r0")),
-        )
-        .unwrap();
-        let out = temp_path("merge-salvage-out");
-        match ScanStore::merge(&out, &[good.clone(), torn.clone()], None) {
-            Err(MergeError::Incompatible { reason, .. }) => {
-                assert!(reason.contains("salvage"), "{reason}");
-            }
-            other => panic!("expected Incompatible, got {other:?}"),
-        }
-        assert!(!out.exists());
-        for path in [good, torn] {
-            std::fs::remove_file(path).unwrap();
-        }
-    }
-
-    #[test]
-    fn missing_file_is_an_empty_store() {
-        let path = temp_path("missing");
-        let store = ScanStore::open(&path).unwrap();
-        assert_eq!(store.loaded_entries(), 0);
-        assert_eq!(store.generation(), 1);
-        assert!(!store.was_invalidated());
-    }
-
-    /// Build a store file at a fresh temp path holding the given
-    /// (key, report line number) pairs, each with one sample report.
-    fn store_with(tag: &str, entries: &[(u128, u32)]) -> PathBuf {
-        let path = temp_path(tag);
-        let store = ScanStore::open(&path).unwrap();
-        for &(key, report_line) in entries {
-            store.insert(key, record(&[report_line]));
-        }
-        store.save().unwrap();
-        path
-    }
-
-    #[test]
-    fn generations_advance_and_stamps_refresh_on_use() {
-        let path = store_with("generations", &[(1, 1), (2, 2)]);
-        // Generation 2: touch only key 1.
-        let store = ScanStore::open(&path).unwrap();
-        assert_eq!(store.generation(), 2);
-        assert!(store.lookup(1).is_some());
-        store.save().unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with(&ScanStore::header(2)), "{text}");
-        assert!(
-            text.contains("F g2 00000000000000000000000000000001"),
-            "{text}"
-        );
-        assert!(
-            text.contains("F g1 00000000000000000000000000000002"),
-            "{text}"
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn compaction_prunes_unused_records() {
-        let path = store_with("compaction", &[(1, 1), (2, 2)]);
-        // Two more generations touching only key 1.
-        for expected_gen in [2, 3] {
-            let store = ScanStore::open(&path).unwrap();
-            assert_eq!(store.generation(), expected_gen);
-            assert!(store.lookup(1).is_some());
-            store.set_compaction(Some(2));
-            store.save().unwrap();
-        }
-        // Key 2 (last used at generation 1) fell behind the 2-generation
-        // horizon at the generation-3 save.
-        let reloaded = ScanStore::open(&path).unwrap();
-        assert_eq!(reloaded.loaded_entries(), 1);
-        assert!(reloaded.lookup(1).is_some());
-        assert!(reloaded.lookup(2).is_none());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn merge_unions_entries_and_counts_duplicates() {
-        let a = store_with("merge-a", &[(1, 1), (2, 2)]);
-        let b = store_with("merge-b", &[(2, 2), (3, 3)]);
-        let out = temp_path("merge-out");
-        let stats = ScanStore::merge(&out, &[a.clone(), b.clone()], None).unwrap();
-        // Fan-in must not depend on the order shard stores arrive in.
-        let reversed = temp_path("merge-out-rev");
-        ScanStore::merge(&reversed, &[b.clone(), a.clone()], None).unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&out).unwrap(),
-            std::fs::read_to_string(&reversed).unwrap(),
-            "merge(a, b) and merge(b, a) must coincide byte for byte"
-        );
-        std::fs::remove_file(&reversed).unwrap();
-        assert_eq!(stats.inputs, 2);
-        assert_eq!(stats.entries_in, 4);
-        assert_eq!(stats.entries_out, 3);
-        assert_eq!(stats.duplicates, 1);
-        assert_eq!(stats.pruned, 0);
-        let merged = ScanStore::open(&out).unwrap();
-        assert_eq!(merged.loaded_entries(), 3);
-        for key in [1u128, 2, 3] {
-            assert_eq!(
-                merged.lookup(key).expect("merged record").reports[0].line,
-                key as u32
-            );
-        }
-        for path in [a, b, out] {
-            std::fs::remove_file(path).unwrap();
-        }
-    }
-
-    #[test]
-    fn merge_with_itself_is_the_identity() {
-        let a = store_with("merge-self", &[(7, 2), (9, 1)]);
-        let out = temp_path("merge-self-out");
-        ScanStore::merge(&out, &[a.clone(), a.clone()], None).unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&a).unwrap(),
-            std::fs::read_to_string(&out).unwrap(),
-            "merging a store with itself must reproduce it byte for byte"
-        );
-        std::fs::remove_file(&a).unwrap();
-        std::fs::remove_file(&out).unwrap();
-    }
-
-    #[test]
-    fn merge_rejects_incompatible_and_conflicting_inputs_loudly() {
-        let good = store_with("merge-good", &[(1, 1)]);
-        let stale = temp_path("merge-stale");
-        std::fs::write(
-            &stale,
-            format!(
-                "stack-scan-store v{SCAN_STORE_FORMAT_VERSION} enc1 fpr{} gen1\n",
-                FINGERPRINT_REVISION + 1
-            ),
-        )
-        .unwrap();
-        let out = temp_path("merge-reject-out");
-        match ScanStore::merge(&out, &[good.clone(), stale.clone()], None) {
-            Err(MergeError::Incompatible { reason, .. }) => {
-                assert!(
-                    reason.contains(&format!("fpr{}", FINGERPRINT_REVISION + 1)),
-                    "reason must name the mismatch: {reason}"
-                );
-            }
-            other => panic!("expected Incompatible, got {other:?}"),
-        }
-        assert!(!out.exists(), "a failed merge must not write an output");
-
-        // Same key, different record: loud conflict.
-        let conflicting = store_with("merge-conflict", &[(1, 5)]);
-        match ScanStore::merge(&out, &[good.clone(), conflicting.clone()], None) {
-            Err(MergeError::Conflict { key, .. }) => {
-                assert!(key.contains('1'), "key names the replay key: {key}");
-            }
-            other => panic!("expected Conflict, got {other:?}"),
-        }
-        for path in [good, stale, conflicting] {
-            std::fs::remove_file(path).unwrap();
-        }
-    }
-
-    #[test]
-    fn merge_takes_max_stamps_and_compacts() {
-        // Store a: generation 3, key 1 stamped g3, key 2 stamped g1.
-        let a = temp_path("merge-stamps-a");
-        std::fs::write(
-            &a,
-            format!(
-                "{}\n{}{}",
-                ScanStore::header(3),
-                line("F g3 00000000000000000000000000000001 r0"),
-                line("F g1 00000000000000000000000000000002 r0")
-            ),
-        )
-        .unwrap();
-        // Store b: generation 2, key 1 stamped g2 (older than a's).
-        let b = temp_path("merge-stamps-b");
-        std::fs::write(
-            &b,
-            format!(
-                "{}\n{}",
-                ScanStore::header(2),
-                line("F g2 00000000000000000000000000000001 r0")
-            ),
-        )
-        .unwrap();
-        let out = temp_path("merge-stamps-out");
-        let stats = ScanStore::merge(&out, &[b.clone(), a.clone()], Some(2)).unwrap();
-        assert_eq!(stats.generation, 3, "output generation is the max");
-        assert_eq!(
-            stats.entries_out, 1,
-            "the g1 record fell behind the horizon"
-        );
-        assert_eq!(stats.pruned, 1);
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(
-            text.contains("F g3 00000000000000000000000000000001"),
-            "{text}"
-        );
-        for path in [a, b, out] {
-            std::fs::remove_file(path).unwrap();
-        }
-    }
-
-    #[test]
-    fn inspect_reads_headers_even_when_incompatible() {
-        let path = store_with("inspect", &[(1, 1), (2, 2)]);
-        let info = ScanStore::inspect(&path).unwrap();
-        assert_eq!(info.kind, "scan");
-        assert_eq!(info.format_version, u64::from(SCAN_STORE_FORMAT_VERSION));
-        assert_eq!(
-            info.fingerprint_revision,
-            Some(u64::from(FINGERPRINT_REVISION))
-        );
-        assert_eq!(info.generation, 1);
-        assert!(info.compatible);
-        assert!(!info.malformed);
-        assert_eq!(info.entries, 2);
-        assert_eq!(info.last_used.get(&1), Some(&2));
-
-        // A future fingerprint revision: still inspectable, flagged
-        // incompatible.
-        let stale = temp_path("inspect-stale");
-        std::fs::write(
-            &stale,
-            format!(
-                "stack-scan-store v{SCAN_STORE_FORMAT_VERSION} enc1 fpr{} gen4\n{}",
-                FINGERPRINT_REVISION + 9,
-                line("F g2 1 r0")
-            ),
-        )
-        .unwrap();
-        let info = ScanStore::inspect(&stale).unwrap();
-        assert!(!info.compatible);
-        assert_eq!(info.generation, 4);
-        assert_eq!(info.entries, 1);
-        assert!(info.render().contains("NO"), "{}", info.render());
-
-        // Not a scan store at all: loud error.
-        let other = temp_path("inspect-other");
-        std::fs::write(&other, "stack-query-store v2 enc1 gen1\n").unwrap();
-        assert!(matches!(
-            ScanStore::inspect(&other),
-            Err(MergeError::Incompatible { .. })
-        ));
-        for p in [path, stale, other] {
-            std::fs::remove_file(p).unwrap();
-        }
     }
 
     #[test]

@@ -31,37 +31,24 @@
 //! the query, so the disk-backed store persists the decided fact without it
 //! (see `store.rs`).
 //!
-//! The cache is sharded (`Mutex<HashMap>` per shard, shard picked by key
-//! hash) and shared across the parallel checker's worker threads through an
-//! [`Arc`](std::sync::Arc).
+//! The cache is the sharded table every store uses (`record.rs`: one
+//! `Mutex<HashMap>` per shard, shard picked by key hash), shared across the
+//! parallel checker's worker threads through an [`Arc`](std::sync::Arc).
 
-use crate::model::Model;
+use crate::record::Table;
 use crate::solver::QueryResult;
 use crate::term::{Sort, TermId, TermKind, TermPool};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Number of independent shards; a small power of two keeps contention low
-/// without bloating the structure.
-const SHARDS: usize = 16;
 
 /// A canonical, pool-independent key for an assertion set: the sorted,
 /// deduplicated structural fingerprints of the assertions.
 pub type CacheKey = Vec<u128>;
 
-/// A decided query outcome, as stored in the cache (`Unknown` is excluded by
-/// construction).
-#[derive(Clone, Debug)]
-enum CachedResult {
-    Sat(Model),
-    Unsat,
-}
-
-/// Aggregate cache counters (process-wide for one cache instance).
+/// Aggregate lookup counters of one table (the in-memory cache or either
+/// persisted store).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Lookups answered from the table.
     pub hits: u64,
     /// Lookups that missed (and, for decided queries, later inserted).
     pub misses: u64,
@@ -69,29 +56,10 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
-/// Fold the (already well-mixed) fingerprints of a key into a shard index.
-/// Shared with the disk store's last-used-generation side table so both
-/// structures split contention identically.
-pub(crate) fn shard_index(key: &CacheKey) -> usize {
-    let mut acc = 0xcbf2_9ce4_8422_2325u64;
-    for fp in key {
-        acc ^= (*fp as u64) ^ ((*fp >> 64) as u64);
-        acc = acc.wrapping_mul(0x100_0000_01b3);
-    }
-    (acc as usize) % SHARDS
-}
-
-/// Number of shards [`shard_index`] distributes over (the cache's own
-/// shard count).
-pub(crate) const STAMP_SHARDS: usize = SHARDS;
-
 /// A sharded, thread-safe memoization table for solver queries.
 #[derive(Debug, Default)]
 pub struct QueryCache {
-    shards: [Mutex<HashMap<CacheKey, CachedResult>>; SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
-    entries: AtomicU64,
+    table: Table<CacheKey, QueryResult>,
 }
 
 impl QueryCache {
@@ -100,79 +68,22 @@ impl QueryCache {
         QueryCache::default()
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, CachedResult>> {
-        &self.shards[shard_index(key)]
-    }
-
     /// Look up a decided result for `key`, updating hit/miss counters.
     pub(crate) fn lookup(&self, key: &CacheKey) -> Option<QueryResult> {
-        let found = self
-            .shard(key)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(key)
-            .cloned();
-        match found {
-            Some(CachedResult::Sat(model)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(QueryResult::Sat(model))
-            }
-            Some(CachedResult::Unsat) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(QueryResult::Unsat)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.table.lookup(key, 0)
     }
 
     /// Store a decided result. `Unknown` is silently ignored: a budget
     /// exhaustion is a property of the budget, not of the formula.
     pub(crate) fn insert(&self, key: CacheKey, result: &QueryResult) {
-        let value = match result {
-            QueryResult::Sat(model) => CachedResult::Sat(model.clone()),
-            QueryResult::Unsat => CachedResult::Unsat,
-            QueryResult::Unknown => return,
-        };
-        let mut shard = self
-            .shard(&key)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if shard.insert(key, value).is_none() {
-            self.entries.fetch_add(1, Ordering::Relaxed);
+        if !matches!(result, QueryResult::Unknown) {
+            self.table.insert(key, result.clone(), 0);
         }
-    }
-
-    /// A copy of every stored entry, as `(key, decided result)` pairs, in
-    /// unspecified order. Used by the disk-backed store to persist the table
-    /// and by diagnostics; not a hot path.
-    pub fn entries_snapshot(&self) -> Vec<(CacheKey, QueryResult)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            for (key, value) in shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .iter()
-            {
-                let result = match value {
-                    CachedResult::Sat(model) => QueryResult::Sat(model.clone()),
-                    CachedResult::Unsat => QueryResult::Unsat,
-                };
-                out.push((key.clone(), result));
-            }
-        }
-        out
     }
 
     /// Counters accumulated so far.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.entries.load(Ordering::Relaxed),
-        }
+        self.table.stats()
     }
 
     /// Fraction of lookups answered from the cache (0 when none were made).

@@ -19,6 +19,9 @@
 //!   a disk-backed store ([`store::DiskQueryStore`]) that persists
 //!   fingerprint→result pairs across processes, so repeated archive scans
 //!   (the paper's §6.5 workload) start warm;
+//! * the record file ([`RecordStore`]) under every persisted store: one
+//!   generic implementation of the checksummed, salvageable, atomically
+//!   saved and mergeable file that a small [`Codec`] specializes;
 //! * incremental solving under assumptions ([`incremental::SolverInstance`]):
 //!   one persistent SAT instance per function encoding, with UB-condition
 //!   literals toggled as assumptions, so the checker's minimal-UB-set loop
@@ -34,6 +37,8 @@ pub mod cnf;
 pub mod incremental;
 pub mod lit;
 pub mod model;
+mod record;
+mod record_suite;
 pub mod sat;
 pub mod solver;
 pub mod store;
@@ -45,10 +50,11 @@ pub use cnf::{Clause, ClauseDb, ClauseRef, CnfFormula};
 pub use incremental::{InstanceStats, SolverInstance};
 pub use lit::{LBool, Lit, Var};
 pub use model::Model;
+pub use record::{
+    crc32, Codec, MergeError, MergeStats, RecordLines, RecordStore, RecordWriter, SalvageReport,
+    StoreInspection,
+};
 pub use sat::{Budget, SatResult, SatSolver, SatStats};
 pub use solver::{free_variables, BvSolver, QueryResult, SolverStats};
-pub use store::{
-    crc32, DiskQueryStore, MergeError, MergeStats, QueryStore, SalvageReport, StoreInspection,
-    ENCODING_REVISION, STORE_FORMAT_VERSION,
-};
+pub use store::{DiskQueryStore, QueryCodec, QueryStore, ENCODING_REVISION, STORE_FORMAT_VERSION};
 pub use term::{mask, to_signed, Sort, Term, TermId, TermKind, TermPool, MAX_WIDTH};
