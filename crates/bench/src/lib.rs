@@ -7,8 +7,8 @@
 
 use serde::Serialize;
 use stack_core::{
-    Algorithm, AnalysisSession, Checker, CheckerConfig, ScanEvent, ScanPipeline, ScanSource,
-    ScanStore, ScanTask, UbKind,
+    Algorithm, AnalysisSession, CheckStats, Checker, CheckerConfig, ScanEvent, ScanPipeline,
+    ScanSource, ScanStore, ScanTask, UbKind,
 };
 use stack_corpus::{
     churn_archive, churn_functions, completeness_benchmark, duplicate_files, figure9_corpus,
@@ -427,10 +427,6 @@ pub struct ScalingRow {
     pub incremental_queries: u64,
     /// Clause slots those queries reused instead of re-blasting.
     pub reused_clauses: u64,
-    /// `minimal_ub_set` queries skipped because a memoized assumption core
-    /// proved the candidate condition irrelevant (incremental rows only;
-    /// `queries + minimization_queries_saved` matches the seed row).
-    pub minimization_queries_saved: u64,
     /// Total reports produced (must agree across every row).
     pub reports: usize,
 }
@@ -1004,14 +1000,11 @@ pub struct FunctionRescanRow {
 }
 
 /// The per-function incremental-rescan measurement: the same archive
-/// re-scanned after K *functions* (not files) were edited in place,
-/// comparing module-granular replay (one edited function re-analyzes its
-/// whole module — the pre-v4 cache behavior, reproduced via
-/// [`ScanPipeline::with_module_granularity`]) against function-granular
-/// replay (only the edited functions hit the solver). The archive uses
-/// wider files (12 functions each) than the other sections, because that
-/// is exactly the regime where module granularity loses: one edit
-/// invalidates 12 functions' worth of solver work. The section also
+/// re-scanned after K *functions* (not files) were edited in place, with
+/// function-granular replay (only the edited functions hit the solver).
+/// The archive uses wider files (12 functions each) than the other
+/// sections, so one edit strands many unchanged siblings in its module —
+/// all of which must still replay. The section also
 /// measures cross-path dedup: the archive extended with byte-identical
 /// vendored duplicates, scanned with and without a fresh scan store — the
 /// path-independent replay key answers every duplicate's functions from
@@ -1026,13 +1019,8 @@ pub struct FunctionRescan {
     pub functions: usize,
     /// File-level pipeline workers used by every churn-row run.
     pub jobs: usize,
-    /// Three rows (cold / module-granular warm / function-granular warm)
-    /// per churn level.
+    /// Two rows (cold / function-granular warm) per churn level.
     pub rows: Vec<FunctionRescanRow>,
-    /// Module-granular queries / function-granular queries at 5% function
-    /// churn — how much narrower the re-analysis frontier is when only
-    /// edited functions (instead of their whole modules) hit the solver.
-    pub speedup_function_rescan_vs_module: f64,
     /// The function-granular 5%-churn row's skip rate
     /// (`functions_skipped / functions`; the ground-truth bar is 0.95).
     pub function_skip_rate_5pct: f64,
@@ -1058,7 +1046,6 @@ fn function_rescan_run(
     config: CheckerConfig,
     jobs: usize,
     scan_store_path: Option<&std::path::Path>,
-    module_granular: bool,
 ) -> (FunctionRescanRow, Vec<String>) {
     let tasks: Vec<ScanTask> = files
         .iter()
@@ -1073,9 +1060,6 @@ fn function_rescan_run(
         .map(|path| Arc::new(ScanStore::open(path).expect("open function-rescan scan store")));
     if let Some(store) = &scan_store {
         pipeline = pipeline.with_scan_store(store.clone());
-    }
-    if module_granular {
-        pipeline = pipeline.with_module_granularity();
     }
     let mut reports = Vec::new();
     let start = Instant::now();
@@ -1120,8 +1104,7 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
     let _ = std::fs::remove_file(&dedup_store_path);
 
     // Wider files than the default archive: 12 functions each, so one
-    // edited function strands 11 siblings' worth of replay — the gap this
-    // section measures.
+    // edited function leaves 11 siblings in its module that must replay.
     let archive_cfg = ArchiveConfig {
         packages: cfg.packages,
         functions_per_file: 12,
@@ -1155,7 +1138,6 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
 
     let mut rows = Vec::new();
     let mut reports_identical = true;
-    let mut speedup_function_rescan_vs_module = 0.0;
     let mut function_skip_rate_5pct = 0.0;
     let mut functions = 0usize;
     for churn_pct in [0u32, 5, 20] {
@@ -1168,19 +1150,8 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
             config,
             jobs,
             None,
-            false,
         );
         cold.reports_identical = true;
-        let (mut module_row, module_reports) = function_rescan_run(
-            &format!("{churn_pct}% fn churn, module-granular rescan"),
-            churn_pct,
-            &churned.files,
-            config,
-            jobs,
-            Some(&scan_store_path),
-            true,
-        );
-        module_row.reports_identical = module_reports == cold_reports;
         let (mut function_row, function_reports) = function_rescan_run(
             &format!("{churn_pct}% fn churn, function-granular rescan"),
             churn_pct,
@@ -1188,17 +1159,14 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
             config,
             jobs,
             Some(&scan_store_path),
-            false,
         );
         function_row.reports_identical = function_reports == cold_reports;
-        reports_identical &= module_row.reports_identical && function_row.reports_identical;
+        reports_identical &= function_row.reports_identical;
         if churn_pct == 5 {
-            speedup_function_rescan_vs_module =
-                module_row.queries.max(1) as f64 / function_row.queries.max(1) as f64;
             function_skip_rate_5pct =
                 function_row.functions_skipped as f64 / function_row.functions.max(1) as f64;
         }
-        rows.extend([cold, module_row, function_row]);
+        rows.extend([cold, function_row]);
     }
 
     // Cross-path dedup: the archive plus vendored byte-identical copies,
@@ -1213,7 +1181,6 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
         config,
         1,
         None,
-        false,
     );
     let (with_store, with_store_reports) = function_rescan_run(
         "archive + duplicates, cold scan store (dedup)",
@@ -1222,7 +1189,6 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
         config,
         1,
         Some(&dedup_store_path),
-        false,
     );
     reports_identical &= no_store_reports == with_store_reports;
     let dedup_queries_saved = no_store.queries.saturating_sub(with_store.queries);
@@ -1238,7 +1204,6 @@ pub fn function_rescan(cfg: &ScalingConfig) -> FunctionRescan {
         functions,
         jobs,
         rows,
-        speedup_function_rescan_vs_module,
         function_skip_rate_5pct,
         dedup_duplicate_files: dedup_copies,
         dedup_queries_saved,
@@ -1380,126 +1345,66 @@ pub fn fault_tolerance(cfg: &ScalingConfig) -> FaultTolerance {
     }
 }
 
-/// One raw-solver-speed measurement: the high-churn archive scanned with
-/// the query cache fully disabled (no memo store, no disk stores), so every
-/// query pays the solver and the row isolates per-query solver cost.
+/// Results of the solver-speed benchmark: the high-churn archive scanned
+/// with the query cache fully disabled (no memo store, no disk stores), so
+/// every query pays the SAT core and the section isolates per-query solver
+/// cost. One row — the one solver — timed over several repetitions; the
+/// work counters are deterministic and identical in every repetition.
 #[derive(Clone, Debug, Serialize)]
-pub struct SolverSpeedRow {
-    /// Human-readable configuration label.
-    pub label: String,
-    /// Whether CNF preprocessing (probing, subsumption, vivification, and
-    /// fresh-mode BVE) was enabled. `false` is the pre-preprocessing solver.
-    pub preprocess: bool,
-    /// Whether assumption-core memoization (the Unsat fast path) was
-    /// enabled. `false` with `preprocess` on is the PR 9 solver.
-    pub core_cache: bool,
-    /// Whether hyper-binary resolution during failed-literal probing was
-    /// enabled.
-    pub hbr: bool,
-    /// Solver-instance granularity: `"function"` (one incremental instance
-    /// per function) or `"fragment"` (a fresh instance per code fragment).
-    pub granularity: String,
-    /// Wall-clock time for the scan, in milliseconds.
-    pub wall_ms: u64,
-    /// Wall-clock time for the scan, in microseconds.
-    pub wall_us: u64,
+pub struct SolverSpeed {
+    /// Description of the synthetic archive the scans read.
+    pub archive: String,
+    /// Files in the churned archive.
+    pub files: usize,
+    /// Pipeline worker width used for every scan.
+    pub jobs: usize,
+    /// Churn rate applied to the base archive before scanning.
+    pub churn_pct: u32,
+    /// Per-query propagation budget.
+    pub query_budget: u64,
+    /// Timed repetitions of the scan.
+    pub runs: usize,
+    /// Median wall-clock time of one scan, microseconds.
+    pub median_wall_us: u64,
+    /// Fastest repetition, microseconds.
+    pub min_wall_us: u64,
+    /// Slowest repetition, microseconds.
+    pub max_wall_us: u64,
     /// Solver queries issued (all misses — the cache is disabled).
     pub queries: u64,
     /// Queries that exhausted their budget and degraded to Unknown.
     pub timeouts: u64,
+    /// Queries the solver answered Unsat.
+    pub unsat_queries: u64,
     /// Total unit propagations — the deterministic currency solver budgets
     /// are denominated in, and this section's measure of raw solver work.
     pub propagations: u64,
-    /// Propagations spent on queries that ended Unsat — the share the
-    /// Unsat fast path (core cache, HBR, tiered db) is able to attack.
-    pub unsat_propagations: u64,
     /// Total conflicts across all queries.
     pub conflicts: u64,
     /// Total solver restarts across all queries.
     pub restarts: u64,
-    /// Learned clauses retained across all queries.
+    /// Clauses learned by conflict analysis across all queries.
     pub learned_clauses: u64,
-    /// Learned clauses evicted by glue-aware clause-database reduction.
-    pub deleted_clauses: u64,
     /// Mean LBD (glue) over all learned clauses.
     pub avg_lbd: f64,
-    /// Clauses and variables removed by the preprocessing passes.
-    pub preprocess_eliminations: u64,
-    /// Queries the solver answered Unsat (the side the core cache serves).
-    pub unsat_queries: u64,
-    /// Queries answered Unsat in zero propagations from a memoized
-    /// assumption core.
-    pub core_cache_hits: u64,
-    /// Assumption cores extracted from final conflicts.
-    pub cores_recorded: u64,
-    /// Binary clauses added by hyper-binary resolution during probing.
-    pub hbr_binaries_added: u64,
-    /// `minimal_ub_set` queries skipped by core-seeded minimization.
-    pub minimization_queries_saved: u64,
-    /// Reports emitted (must match across every row).
+    /// Reports emitted per scan.
     pub reports: usize,
+    /// Every repetition produced a byte-identical report stream and
+    /// identical work counters.
+    pub deterministic: bool,
 }
 
-/// Results of the solver-speed benchmark: a cache-disabled, high-churn scan
-/// where every query reaches the SAT solver, comparing the preprocessing +
-/// LBD-aware solver against the prior solver (preprocessing off) and the
-/// per-fragment instance granularity against per-function.
-#[derive(Clone, Debug, Serialize)]
-pub struct SolverSpeed {
-    /// Description of the synthetic archive the rows scanned.
-    pub archive: String,
-    /// Files in the churned archive.
-    pub files: usize,
-    /// Pipeline worker width used for every row.
-    pub jobs: usize,
-    /// Churn rate applied to the base archive before scanning.
-    pub churn_pct: u32,
-    /// Per-query propagation budget shared by every row.
-    pub query_budget: u64,
-    /// One row per solver configuration.
-    pub rows: Vec<SolverSpeedRow>,
-    /// Baseline propagations divided by default-configuration propagations
-    /// (per-function rows): how much less solver work the preprocessing +
-    /// LBD solver does than the prior solver on the same queries.
-    pub speedup_solver_vs_baseline: f64,
-    /// Baseline wall time divided by default-configuration wall time.
-    pub speedup_wall_vs_baseline: f64,
-    /// Per-fragment wall time divided by per-function wall time: values
-    /// above 1.0 mean per-function instances win and stay the default.
-    pub speedup_function_vs_fragment: f64,
-    /// PR 9 Unsat-side propagations (preprocess on, core cache + HBR off)
-    /// divided by default-configuration Unsat-side propagations
-    /// (per-function rows): the Unsat-path payoff of assumption-core
-    /// memoization, HBR, and the tiered clause database on the same
-    /// queries. Sat-side work is excluded — it is identical across the two
-    /// rows and would otherwise drown the signal.
-    pub speedup_unsat_vs_pr9: f64,
-    /// Core-cache hits divided by Unsat answers on the default row: the
-    /// fraction of Unsat verdicts served in zero propagations.
-    pub core_cache_hit_rate: f64,
-    /// Binary clauses hyper-binary resolution added on the default row.
-    pub hbr_binaries_added: u64,
-    /// `minimal_ub_set` queries the core-seeded search skipped on the
-    /// default row (vs PR 9's full greedy loop).
-    pub minimization_queries_saved: u64,
-    /// The granularity shipped as the default, decided by this benchmark.
-    pub default_granularity: String,
-    /// Every configuration produced byte-identical report streams.
-    pub reports_identical: bool,
-}
-
-/// Run the solver-speed measurement. The cache is disabled (no memo store,
-/// no disk stores) so the scan is the pure worst case — a high-churn tree
-/// where nothing can be reused — and the rows compare raw solver cost:
-/// the prior solver (preprocessing off) as the baseline, the preprocessing
-/// + LBD solver per-function, and the same solver per-fragment.
+/// Run the solver-speed measurement: scan the churned archive `runs` times
+/// with the cache disabled and report the median wall time next to the
+/// deterministic work counters.
 pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
+    const CHURN_PCT: u32 = 20;
+    const RUNS: usize = 5;
     let archive_cfg = ArchiveConfig {
         packages: cfg.packages,
         ..ArchiveConfig::default()
     };
     let base = generate_archive(&archive_cfg);
-    const CHURN_PCT: u32 = 20;
     let churned = churn_archive(&base, archive_cfg.seed, f64::from(CHURN_PCT) / 100.0);
     let jobs = cfg.threads.iter().copied().max().unwrap_or(1);
     let tasks: Vec<ScanTask> = churned
@@ -1510,114 +1415,52 @@ pub fn solver_speed(cfg: &ScalingConfig) -> SolverSpeed {
             source: ScanSource::Inline(f.source.clone()),
         })
         .collect();
+    let config = CheckerConfig {
+        query_budget: cfg.query_budget,
+        threads: Some(1),
+        query_cache: false,
+        ..CheckerConfig::default()
+    };
 
-    let mut rows = Vec::new();
-    let mut report_streams: Vec<Vec<String>> = Vec::new();
-    let mut run =
-        |label: &str, preprocess: bool, core_cache: bool, hbr: bool, fragment_instances: bool| {
-            let config = CheckerConfig {
-                query_budget: cfg.query_budget,
-                threads: Some(1),
-                query_cache: false,
-                preprocess,
-                core_cache,
-                hbr,
-                fragment_instances,
-                ..CheckerConfig::default()
-            };
-            let session = AnalysisSession::new(config);
-            let pipeline = ScanPipeline::new(&session, jobs);
-            let mut reports = Vec::new();
-            let start = Instant::now();
-            pipeline.run(&tasks, &mut |event| {
-                if let ScanEvent::Report(report) = event {
-                    reports.push(format!("{report:?}"));
-                }
-            });
-            let elapsed = start.elapsed();
-            let stats = session.stats();
-            rows.push(SolverSpeedRow {
-                label: label.to_string(),
-                preprocess,
-                core_cache,
-                hbr,
-                granularity: if fragment_instances {
-                    "fragment"
-                } else {
-                    "function"
-                }
-                .to_string(),
-                wall_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
-                wall_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-                queries: stats.queries,
-                timeouts: stats.timeouts,
-                propagations: stats.propagations,
-                unsat_propagations: stats.unsat_propagations,
-                conflicts: stats.conflicts,
-                restarts: stats.restarts,
-                learned_clauses: stats.learned_clauses,
-                deleted_clauses: stats.deleted_clauses,
-                avg_lbd: stats.avg_lbd(),
-                preprocess_eliminations: stats.preprocess_eliminations,
-                unsat_queries: stats.unsat_queries,
-                core_cache_hits: stats.core_cache_hits,
-                cores_recorded: stats.cores_recorded,
-                hbr_binaries_added: stats.hbr_binaries_added,
-                minimization_queries_saved: stats.minimization_queries_saved,
-                reports: reports.len(),
-            });
-            report_streams.push(reports);
-        };
-    run(
-        "baseline: prior solver (no preprocess), per-function",
-        false,
-        false,
-        false,
-        false,
-    );
-    run(
-        "PR 9: preprocess + LBD solver (no core cache / HBR), per-function",
-        true,
-        false,
-        false,
-        false,
-    );
-    run(
-        "core cache + HBR + tiered db solver, per-function",
-        true,
-        true,
-        true,
-        false,
-    );
-    run(
-        "core cache + HBR + tiered db solver, per-fragment",
-        true,
-        true,
-        true,
-        true,
-    );
-
-    let ratio = |num: u64, den: u64| num as f64 / den.max(1) as f64;
-    let baseline = &rows[0];
-    let pr9 = &rows[1];
-    let function = &rows[2];
-    let fragment = &rows[3];
+    let mut walls = Vec::with_capacity(RUNS);
+    let mut runs: Vec<(Vec<String>, CheckStats)> = Vec::with_capacity(RUNS);
+    for _ in 0..RUNS {
+        let session = AnalysisSession::new(config);
+        let mut reports = Vec::new();
+        let start = Instant::now();
+        ScanPipeline::new(&session, jobs).run(&tasks, &mut |event| {
+            if let ScanEvent::Report(report) = event {
+                reports.push(format!("{report:?}"));
+            }
+        });
+        walls.push(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
+        runs.push((reports, session.stats()));
+    }
+    walls.sort_unstable();
+    let counters = |s: &CheckStats| (s.queries, s.propagations, s.conflicts, s.learned_clauses);
+    let (reports, stats) = &runs[0];
     SolverSpeed {
         archive: format!("{} packages, seed {}", cfg.packages, archive_cfg.seed),
         files: churned.files.len(),
         jobs,
         churn_pct: CHURN_PCT,
         query_budget: cfg.query_budget,
-        speedup_solver_vs_baseline: ratio(baseline.propagations, function.propagations),
-        speedup_wall_vs_baseline: ratio(baseline.wall_us, function.wall_us),
-        speedup_function_vs_fragment: ratio(fragment.wall_us, function.wall_us),
-        speedup_unsat_vs_pr9: ratio(pr9.unsat_propagations, function.unsat_propagations),
-        core_cache_hit_rate: ratio(function.core_cache_hits, function.unsat_queries),
-        hbr_binaries_added: function.hbr_binaries_added,
-        minimization_queries_saved: function.minimization_queries_saved,
-        default_granularity: "function".to_string(),
-        reports_identical: report_streams.windows(2).all(|w| w[0] == w[1]),
-        rows,
+        runs: RUNS,
+        median_wall_us: walls[RUNS / 2],
+        min_wall_us: walls[0],
+        max_wall_us: walls[RUNS - 1],
+        queries: stats.queries,
+        timeouts: stats.timeouts,
+        unsat_queries: stats.unsat_queries,
+        propagations: stats.propagations,
+        conflicts: stats.conflicts,
+        restarts: stats.restarts,
+        learned_clauses: stats.learned_clauses,
+        avg_lbd: stats.avg_lbd(),
+        reports: reports.len(),
+        deterministic: runs
+            .iter()
+            .all(|(r, s)| r == reports && counters(s) == counters(stats)),
     }
 }
 
@@ -1656,8 +1499,8 @@ pub struct CheckerScaling {
     /// fails the bench job if the speedup goes missing).
     pub rescan: IncrementalRescan,
     /// The per-function incremental-rescan + cross-path dedup measurement
-    /// (`speedup_function_rescan_vs_module` and `dedup_queries_saved` live
-    /// here; CI fails the bench job if either goes missing).
+    /// (`function_skip_rate_5pct` and `dedup_queries_saved` live here; CI
+    /// fails the bench job if the latter goes missing).
     pub function_rescan: FunctionRescan,
     /// The distributed-scan measurement (`speedup_merged_warm_vs_cold` and
     /// `merge_reports_identical` live here; CI fails the bench job if
@@ -1668,8 +1511,7 @@ pub struct CheckerScaling {
     /// missing).
     pub fault_tolerance: FaultTolerance,
     /// The raw-solver-speed measurement on a cache-disabled high-churn scan
-    /// (`speedup_solver_vs_baseline` lives here; CI fails the bench job if
-    /// it goes missing).
+    /// (CI fails the bench job if it goes missing).
     pub solver_speed: SolverSpeed,
 }
 
@@ -1717,7 +1559,6 @@ pub fn checker_scaling(cfg: &ScalingConfig) -> CheckerScaling {
         let mut cache_misses = 0u64;
         let mut incremental_queries = 0u64;
         let mut reused_clauses = 0u64;
-        let mut minimization_queries_saved = 0u64;
         let mut reports = 0usize;
         for module in &modules {
             let result = checker.check_module(module);
@@ -1727,7 +1568,6 @@ pub fn checker_scaling(cfg: &ScalingConfig) -> CheckerScaling {
             cache_misses += result.stats.cache_misses;
             incremental_queries += result.stats.incremental_queries;
             reused_clauses += result.stats.reused_clauses;
-            minimization_queries_saved += result.stats.minimization_queries_saved;
             reports += result.reports.len();
         }
         let elapsed = start.elapsed();
@@ -1751,7 +1591,6 @@ pub fn checker_scaling(cfg: &ScalingConfig) -> CheckerScaling {
             },
             incremental_queries,
             reused_clauses,
-            minimization_queries_saved,
             reports,
         });
     };
@@ -1906,10 +1745,8 @@ impl CheckerScaling {
         }
         let _ = writeln!(
             out,
-            "  function vs module granularity (5% fn churn): {:.2}x fewer queries; \
-             fn skip rate {:.1}%; dedup saved {} queries over {} duplicate files; \
-             reports identical: {}",
-            self.function_rescan.speedup_function_rescan_vs_module,
+            "  fn skip rate (5% fn churn) {:.1}%; dedup saved {} queries over {} duplicate \
+             files; reports identical: {}",
             100.0 * self.function_rescan.function_skip_rate_5pct,
             self.function_rescan.dedup_queries_saved,
             self.function_rescan.dedup_duplicate_files,
@@ -1968,44 +1805,25 @@ impl CheckerScaling {
                 .map_or("-".to_string(), |o| o.to_string()),
             self.fault_tolerance.store_healed
         );
+        let ss = &self.solver_speed;
         let _ = writeln!(
             out,
             "Solver speed over {} ({} files, {}% churn, cache disabled, {} jobs)",
-            self.solver_speed.archive,
-            self.solver_speed.files,
-            self.solver_speed.churn_pct,
-            self.solver_speed.jobs
-        );
-        for r in &self.solver_speed.rows {
-            let _ = writeln!(
-                out,
-                "  {:<44} {:>8} {:>10} props {:>7} conf {:>6} elim  lbd {:>4.1}",
-                r.label,
-                r.wall_ms,
-                r.propagations,
-                r.conflicts,
-                r.preprocess_eliminations,
-                r.avg_lbd
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  solver vs baseline: {:.2}x fewer propagations ({:.2}x wall); \
-             fragment vs function: {:.2}x (default: per-{}); reports identical: {}",
-            self.solver_speed.speedup_solver_vs_baseline,
-            self.solver_speed.speedup_wall_vs_baseline,
-            self.solver_speed.speedup_function_vs_fragment,
-            self.solver_speed.default_granularity,
-            self.solver_speed.reports_identical
+            ss.archive, ss.files, ss.churn_pct, ss.jobs
         );
         let _ = writeln!(
             out,
-            "  unsat path vs PR 9: {:.2}x fewer propagations; core cache served {:.1}% of \
-             unsat answers, {} HBR binaries, {} minimization queries saved",
-            self.solver_speed.speedup_unsat_vs_pr9,
-            100.0 * self.solver_speed.core_cache_hit_rate,
-            self.solver_speed.hbr_binaries_added,
-            self.solver_speed.minimization_queries_saved
+            "  median {} us over {} runs ({}..{}); {} props {} conf {} learned, lbd {:.1}; \
+             deterministic: {}",
+            ss.median_wall_us,
+            ss.runs,
+            ss.min_wall_us,
+            ss.max_wall_us,
+            ss.propagations,
+            ss.conflicts,
+            ss.learned_clauses,
+            ss.avg_lbd,
+            ss.deterministic
         );
         out
     }
@@ -2156,15 +1974,7 @@ mod tests {
         let seed_queries = scaling.rows[0].queries;
         for row in &scaling.rows {
             assert_eq!(row.reports, seed_reports, "{}", row.label);
-            // Core-seeded minimization skips queries the memoized assumption
-            // core proves irrelevant; every skip is accounted for, so the
-            // issued + saved total still matches the seed row exactly.
-            assert_eq!(
-                row.queries + row.minimization_queries_saved,
-                seed_queries,
-                "{}",
-                row.label
-            );
+            assert_eq!(row.queries, seed_queries, "{}", row.label);
         }
         // The seed row never consults the cache; the cached rows must get a
         // nonzero hit rate out of the repeated synthetic idioms.
@@ -2194,45 +2004,17 @@ mod tests {
         assert!(json.contains("\"speedup_merged_warm_vs_cold\""));
         assert!(json.contains("\"merge_reports_identical\""));
         assert!(json.contains("\"function_rescan\""));
-        assert!(json.contains("\"speedup_function_rescan_vs_module\""));
         assert!(json.contains("\"dedup_queries_saved\""));
         assert!(json.contains("\"degraded_queries\""));
         assert!(json.contains("\"salvaged_entries\""));
         assert!(json.contains("\"store_healed\""));
         assert!(json.contains("\"solver_speed\""));
-        assert!(json.contains("\"speedup_solver_vs_baseline\""));
-        // The solver-speed section must measure real work and stay
-        // verdict-stable across every configuration it compares.
+        // The solver-speed section must measure real work, deterministically.
         let ss = &scaling.solver_speed;
-        assert_eq!(ss.rows.len(), 4, "{ss:?}");
-        assert!(ss.rows.iter().all(|r| r.propagations > 0), "{ss:?}");
-        assert!(ss.reports_identical, "{ss:?}");
-        assert!(ss.speedup_solver_vs_baseline > 1.0, "{ss:?}");
-        // The Unsat fast path must do strictly less solver work than the
-        // PR 9 configuration on the same churned archive, and its savings
-        // must come from measurable sources: core-cache answers and
-        // core-seeded minimization skips.
-        assert!(json.contains("\"speedup_unsat_vs_pr9\""));
-        assert!(json.contains("\"core_cache_hit_rate\""));
-        assert!(json.contains("\"hbr_binaries_added\""));
-        assert!(ss.speedup_unsat_vs_pr9 > 1.0, "{ss:?}");
-        assert!(ss.core_cache_hit_rate > 0.0, "{ss:?}");
-        let pr9 = &ss.rows[1];
-        let default_row = &ss.rows[2];
-        assert!(pr9.preprocess && !pr9.core_cache && !pr9.hbr, "{pr9:?}");
-        assert_eq!(pr9.core_cache_hits, 0, "{pr9:?}");
-        assert!(default_row.core_cache_hits > 0, "{default_row:?}");
-        assert!(default_row.cores_recorded > 0, "{default_row:?}");
-        // Core-seeded minimization must actually skip queries somewhere in
-        // the run: the scaling rows' incremental configurations exercise the
-        // Figure 8 minimal-UB-set loop on workloads with multi-condition
-        // minimizations.
-        let saved: u64 = scaling
-            .rows
-            .iter()
-            .map(|r| r.minimization_queries_saved)
-            .sum();
-        assert!(saved > 0, "no minimization queries saved in any row");
+        assert!(ss.propagations > 0 && ss.conflicts > 0, "{ss:?}");
+        assert!(ss.min_wall_us <= ss.median_wall_us, "{ss:?}");
+        assert!(ss.median_wall_us <= ss.max_wall_us, "{ss:?}");
+        assert!(ss.deterministic, "{ss:?}");
         // The fault-tolerance section must actually measure something.
         let ft = &scaling.fault_tolerance;
         assert!(ft.degraded_queries > 0, "{ft:?}");
@@ -2289,38 +2071,31 @@ mod tests {
         let section = function_rescan(&cfg);
         assert_eq!(
             section.rows.len(),
-            9,
-            "three configurations x three churn levels"
+            6,
+            "two configurations x three churn levels"
         );
         assert!(section.reports_identical);
         for row in &section.rows {
             assert!(row.reports_identical, "{row:?}");
         }
-        // 0% churn: both granularities replay everything.
-        for row in &section.rows[1..3] {
-            assert_eq!(row.churn_pct, 0);
-            assert_eq!(row.functions_skipped, section.functions, "{row:?}");
-            assert_eq!(row.modules_skipped, row.files, "{row:?}");
-            assert_eq!(row.queries, 0, "{row:?}");
-        }
-        // 5% churn: the function-granular run re-analyzes exactly the
-        // edited functions; the module-granular run pays for whole modules.
+        // 0% churn: the re-scan replays everything.
+        let row = &section.rows[1];
+        assert_eq!(row.churn_pct, 0);
+        assert_eq!(row.functions_skipped, section.functions, "{row:?}");
+        assert_eq!(row.modules_skipped, row.files, "{row:?}");
+        assert_eq!(row.queries, 0, "{row:?}");
+        // 5% churn: the re-scan re-analyzes exactly the edited functions,
+        // at a fraction of the cold scan's solver queries.
         let edited = (0.05 * section.functions as f64).round() as usize;
-        let module_row = &section.rows[4];
-        let function_row = &section.rows[5];
+        let cold_row = &section.rows[2];
+        let function_row = &section.rows[3];
+        assert_eq!(function_row.churn_pct, 5);
         assert_eq!(function_row.functions_skipped, section.functions - edited);
-        assert!(
-            function_row.functions_skipped > module_row.functions_skipped,
-            "{} vs {}",
-            function_row.functions_skipped,
-            module_row.functions_skipped
-        );
         assert!(function_row.queries > 0);
         assert!(
-            section.speedup_function_rescan_vs_module >= 5.0,
-            "the acceptance bar is 5x fewer queries, got {:.2}x ({} vs {})",
-            section.speedup_function_rescan_vs_module,
-            module_row.queries,
+            cold_row.queries >= 5 * function_row.queries,
+            "the re-scan must issue 5x fewer queries than cold ({} vs {})",
+            cold_row.queries,
             function_row.queries
         );
         assert!((section.function_skip_rate_5pct - 0.95).abs() < 0.01);

@@ -19,19 +19,7 @@
 //! Shared analysis options: `--threads N` pins the parallel per-function
 //! driver to `N` workers (default: available parallelism; `1` is fully
 //! sequential), `--no-cache` disables the memoized query store,
-//! `--no-incremental` falls back to from-scratch solving per query,
-//! `--no-preprocess` turns off the SAT core's pre/inprocessing layer
-//! (failed-literal probing, subsumption, bounded variable elimination,
-//! clause vivification, LBD-aware clause-database reduction) — the
-//! pre-LBD solver, kept reachable as the benchmark baseline —
-//! `--no-core-cache` turns off assumption-core memoization (the Unsat
-//! fast path that answers superset queries from cached final-conflict
-//! cores, and the core-seeded minimal-UB-set search) — the PR 9 Unsat
-//! path, kept reachable as the benchmark baseline — `--no-hbr` turns
-//! off hyper-binary resolution during failed-literal probing,
-//! `--instance-granularity <function|fragment>` picks whether incremental
-//! solving keeps one persistent instance per function (default; fragments
-//! share the encoding) or starts fresh per fragment, and
+//! `--no-incremental` falls back to from-scratch solving per query, and
 //! `--include-macros` keeps macro-origin reports. `--cache-file <path>`
 //! backs the query store with a disk file: existing entries warm-start the
 //! run, and the (possibly grown) store is saved back on success — the
@@ -61,7 +49,8 @@
 //! fan-out half of a distributed scan whose per-shard stores
 //! `stack store merge` later folds back into one. Output order is
 //! deterministic regardless of `--jobs`. Flag combinations are validated
-//! before any work starts: scan-only flags are rejected by `check`, and
+//! before any work starts: scan-only flags are rejected by `check`, any
+//! other unknown `--flag` is rejected by both commands, and
 //! `--compact-store` without `--cache-file` is an immediate usage error.
 //!
 //! Exit codes: `check` exits 0 with no reports, 1 with reports, 2 on any
@@ -111,7 +100,26 @@ enum Mode {
 }
 
 /// The flags only `scan` understands, rejected by `check` at parse time.
+/// Each takes a value.
 const SCAN_ONLY_FLAGS: [&str; 5] = ["--jobs", "--scan-cache", "--shard", "--synth", "--seed"];
+
+/// The value-taking flags both `check` and `scan` understand.
+const VALUE_FLAGS: [&str; 5] = [
+    "--threads",
+    "--query-budget",
+    "--cache-file",
+    "--out",
+    "--compact-store",
+];
+
+/// The switches both `check` and `scan` understand.
+const SWITCH_FLAGS: [&str; 5] = [
+    "--json",
+    "--include-macros",
+    "--no-cache",
+    "--no-incremental",
+    "--quiet",
+];
 
 /// Options shared by `check` and `scan`.
 #[derive(Debug)]
@@ -121,17 +129,6 @@ struct AnalysisOpts {
     threads: Option<usize>,
     query_cache: bool,
     incremental: bool,
-    /// `--no-preprocess` turns the SAT core's pre/inprocessing layer off
-    /// (the pre-LBD solver, kept as the benchmark baseline).
-    preprocess: bool,
-    /// `--instance-granularity fragment` starts a fresh incremental solver
-    /// instance per checker fragment instead of per function.
-    fragment_instances: bool,
-    /// `--no-core-cache` turns assumption-core memoization (and the
-    /// core-seeded minimal-UB-set search) off — the PR 9 Unsat path.
-    core_cache: bool,
-    /// `--no-hbr` turns hyper-binary resolution during probing off.
-    hbr: bool,
     /// Per-query propagation budget (`Some(0)` = unlimited).
     query_budget: Option<u64>,
     cache_file: Option<PathBuf>,
@@ -157,6 +154,7 @@ impl AnalysisOpts {
                 return Err(format!("{flag} is a scan-only flag (use `stack scan`)"));
             }
         }
+        reject_unknown_flags(args, mode)?;
         let jobs = match parse_flag_value::<usize>(args, "--jobs")? {
             Some(0) => return Err("--jobs needs a positive integer".to_string()),
             other => other,
@@ -177,25 +175,12 @@ impl AnalysisOpts {
             Some(text) => Some(parse_shard(text)?),
             None => None,
         };
-        let fragment_instances = match flag_value(args, "--instance-granularity")? {
-            None | Some("function") => false,
-            Some("fragment") => true,
-            Some(other) => {
-                return Err(format!(
-                    "--instance-granularity: expected `function` or `fragment`, got `{other}`"
-                ))
-            }
-        };
         Ok(AnalysisOpts {
             json: has_flag(args, "--json"),
             include_macros: has_flag(args, "--include-macros"),
             threads,
             query_cache: !has_flag(args, "--no-cache"),
             incremental: !has_flag(args, "--no-incremental"),
-            preprocess: !has_flag(args, "--no-preprocess"),
-            fragment_instances,
-            core_cache: !has_flag(args, "--no-core-cache"),
-            hbr: !has_flag(args, "--no-hbr"),
             query_budget: parse_flag_value::<u64>(args, "--query-budget")?,
             cache_file,
             out: flag_value(args, "--out")?.map(PathBuf::from),
@@ -224,10 +209,6 @@ impl AnalysisOpts {
             threads: self.threads,
             query_cache: self.query_cache,
             incremental: self.incremental,
-            preprocess: self.preprocess,
-            fragment_instances: self.fragment_instances,
-            core_cache: self.core_cache,
-            hbr: self.hbr,
             query_budget: self
                 .query_budget
                 .unwrap_or(CheckerConfig::default().query_budget),
@@ -295,6 +276,25 @@ impl AnalysisOpts {
 
 fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
+}
+
+/// Reject any `--flag` the command does not know (a misspelled switch
+/// must not silently run the scan with the default instead), skipping the
+/// values of value-taking flags. Scan-only flags count as known under
+/// `scan` only.
+fn reject_unknown_flags(args: &[String], mode: Mode) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") || SWITCH_FLAGS.contains(&arg.as_str()) {
+            continue;
+        }
+        let scan_only = mode == Mode::Scan && SCAN_ONLY_FLAGS.contains(&arg.as_str());
+        if !(scan_only || VALUE_FLAGS.contains(&arg.as_str())) {
+            return Err(format!("unknown flag `{arg}`"));
+        }
+        rest.next();
+    }
+    Ok(())
 }
 
 /// Parse `--shard i/n` (1-based): `2/4` means "analyze the second of four
@@ -493,9 +493,8 @@ struct ScanSummary {
     /// budget, never recorded in the scan cache.
     degraded_modules: usize,
     timeouts: u64,
-    /// Total SAT-core propagations, including the propagation-equivalents
-    /// charged for pre/inprocessing work — the deterministic currency
-    /// query budgets are denominated in.
+    /// Total SAT-core propagations — the deterministic currency query
+    /// budgets are denominated in.
     propagations: u64,
     /// Total SAT-core conflicts.
     conflicts: u64,
@@ -503,41 +502,15 @@ struct ScanSummary {
     restarts: u64,
     /// Clauses learned by conflict analysis.
     learned_clauses: u64,
-    /// Learned clauses evicted by LBD-aware clause-database reduction.
+    /// Learned clauses evicted by clause-database reduction.
     deleted_clauses: u64,
     /// Average learn-time literal-block-distance ("glue") of learned
     /// clauses; 0 when nothing was learned.
     avg_lbd: f64,
-    /// Simplification steps by the solver's pre/inprocessing layer (failed
-    /// literals, subsumed/strengthened clauses, eliminated variables,
-    /// vivified clauses).
-    preprocess_eliminations: u64,
     /// Queries the SAT core answered Sat.
     sat_queries: u64,
     /// Queries the SAT core answered Unsat.
     unsat_queries: u64,
-    /// Queries answered from a cached model without search (a previous
-    /// model still satisfied the new assumption set).
-    model_cache_hits: u64,
-    /// Queries answered Unsat in zero propagations because a memoized
-    /// assumption core was a subset of the query's assumptions.
-    core_cache_hits: u64,
-    /// Assumption cores extracted from final conflicts.
-    cores_recorded: u64,
-    /// Average literal count of extracted assumption cores; 0 when none
-    /// were recorded.
-    avg_core_size: f64,
-    /// Binary clauses added by hyper-binary resolution during failed
-    /// literal probing.
-    hbr_binaries_added: u64,
-    /// Learned clauses evicted from the mid tier (unused since the last
-    /// tier-2 sweep).
-    deleted_tier2: u64,
-    /// Learned clauses evicted from the local tier (high-LBD half).
-    deleted_local: u64,
-    /// `minimal_ub_set` queries skipped because the memoized assumption
-    /// core proved the candidate condition irrelevant.
-    minimization_queries_saved: u64,
     store_hits: u64,
     store_misses: u64,
     store_hit_rate: f64,
@@ -617,17 +590,8 @@ fn cmd_scan(args: &[String]) -> ExitCode {
         learned_clauses: stats.learned_clauses,
         deleted_clauses: stats.deleted_clauses,
         avg_lbd: stats.avg_lbd(),
-        preprocess_eliminations: stats.preprocess_eliminations,
         sat_queries: stats.sat_queries,
         unsat_queries: stats.unsat_queries,
-        model_cache_hits: stats.model_cache_hits,
-        core_cache_hits: stats.core_cache_hits,
-        cores_recorded: stats.cores_recorded,
-        avg_core_size: stats.avg_core_size(),
-        hbr_binaries_added: stats.hbr_binaries_added,
-        deleted_tier2: stats.deleted_tier2,
-        deleted_local: stats.deleted_local,
-        minimization_queries_saved: stats.minimization_queries_saved,
         store_hits: stats.cache_hits,
         store_misses: stats.cache_misses,
         store_hit_rate: stats.cache_hit_rate(),
@@ -723,7 +687,7 @@ fn gather_scan_sources(args: &[String]) -> Result<Vec<ScanTask>, String> {
         return Err(
             "usage: stack scan <dir|manifest|file.mc> | --synth N  [--seed S] [--cache-file F] \
              [--scan-cache F] [--jobs N] [--threads N] [--query-budget N] [--compact-store N] \
-             [--shard i/n] [--no-cache] [--no-incremental] [--no-core-cache] [--no-hbr] \
+             [--shard i/n] [--no-cache] [--no-incremental] \
              [--include-macros] [--json] [--out F] [--quiet]"
                 .to_string(),
         );
@@ -804,13 +768,8 @@ fn render_scan_summary(
     );
     let _ = writeln!(
         out,
-        "  verdicts        {:>8} sat / {} unsat / {} degraded / {} from model cache / {} from \
-         core cache",
-        summary.sat_queries,
-        summary.unsat_queries,
-        summary.degraded_queries,
-        summary.model_cache_hits,
-        summary.core_cache_hits
+        "  verdicts        {:>8} sat / {} unsat / {} degraded",
+        summary.sat_queries, summary.unsat_queries, summary.degraded_queries
     );
     if summary.degraded_modules > 0 {
         let _ = writeln!(
@@ -827,25 +786,8 @@ fn render_scan_summary(
     );
     let _ = writeln!(
         out,
-        "  clause db       {:>8} learned (avg LBD {:.1}, {} evicted), {} simplifications",
-        summary.learned_clauses,
-        summary.avg_lbd,
-        summary.deleted_clauses,
-        summary.preprocess_eliminations
-    );
-    let _ = writeln!(
-        out,
-        "  core cache      {:>8} hits, {} cores recorded (avg size {:.1}), {} minimization \
-         queries saved",
-        summary.core_cache_hits,
-        summary.cores_recorded,
-        summary.avg_core_size,
-        summary.minimization_queries_saved
-    );
-    let _ = writeln!(
-        out,
-        "  hyper-binary    {:>8} binaries added; tier evictions: {} tier2, {} local",
-        summary.hbr_binaries_added, summary.deleted_tier2, summary.deleted_local
+        "  clause db       {:>8} learned (avg LBD {:.1}, {} evicted)",
+        summary.learned_clauses, summary.avg_lbd, summary.deleted_clauses
     );
     let _ = writeln!(
         out,
@@ -1351,6 +1293,36 @@ mod tests {
             Mode::Scan
         )
         .is_ok());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_both_commands() {
+        for mode in [Mode::Check, Mode::Scan] {
+            for flag in ["--bogus-flag", "--no-hbr", "--no-cahce"] {
+                let err = AnalysisOpts::parse(&args(&["dir", flag]), mode)
+                    .expect_err("an unknown flag must not be ignored");
+                assert!(err.contains(flag), "{err}");
+            }
+            // A flag's value is never mistaken for a flag, and every known
+            // flag still parses.
+            assert!(AnalysisOpts::parse(
+                &args(&[
+                    "f.mc",
+                    "--out",
+                    "--json",
+                    "--threads",
+                    "2",
+                    "--no-cache",
+                    "--no-incremental",
+                    "--include-macros",
+                    "--query-budget",
+                    "9",
+                    "--quiet",
+                ]),
+                mode
+            )
+            .is_ok());
+        }
     }
 
     #[test]

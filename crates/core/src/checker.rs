@@ -60,39 +60,6 @@ pub struct CheckerConfig {
     /// instance absorbs the misses) and with `threads` (each worker's solver
     /// owns its own instances).
     pub incremental: bool,
-    /// Whether the SAT core runs its pre/inprocessing layer: a one-shot
-    /// simplification pass (failed-literal probing, subsumption and
-    /// self-subsumption strengthening, and — for throwaway instances —
-    /// bounded variable elimination) before solving, plus clause
-    /// vivification between restarts and LBD-aware clause-database
-    /// reduction during search. All simplification work is charged to
-    /// `query_budget`, so degraded verdicts stay deterministic. Decided
-    /// verdicts — and therefore reports — are identical with the layer on
-    /// or off; off (`--no-preprocess`) restores the pre-LBD solver as the
-    /// benchmark baseline.
-    pub preprocess: bool,
-    /// Incremental-instance granularity: `false` (default) shares one
-    /// persistent SAT instance across a whole function; `true` starts a
-    /// fresh instance per fragment. Sharing wins on the synthetic
-    /// population (see `BENCH_checker.json`, `solver_speed`) because later
-    /// fragments reuse the function's encoding and learned clauses;
-    /// per-fragment stays reachable for workloads with very large
-    /// functions where instance bloat could dominate. No effect unless
-    /// `incremental` is on.
-    pub fragment_instances: bool,
-    /// Whether the SAT core memoizes assumption cores: every `Unsat` answer
-    /// under assumptions extracts the final conflict's assumption core, any
-    /// later query assuming a superset of a recorded core is answered
-    /// `Unsat` in zero propagations, and the Figure 8 minimal-UB-set loop
-    /// seeds its greedy search from the extracted core instead of toggling
-    /// conditions blindly. Decided verdicts — and therefore reports — are
-    /// identical with it on or off; off (`--no-core-cache`) restores the
-    /// prior Unsat path as the benchmark baseline.
-    pub core_cache: bool,
-    /// Whether the SAT core runs hyper-binary resolution during its probing
-    /// pass, materializing transitive implications as binary clauses. Off
-    /// (`--no-hbr`) restores plain probing.
-    pub hbr: bool,
 }
 
 impl Default for CheckerConfig {
@@ -103,10 +70,6 @@ impl Default for CheckerConfig {
             threads: None,
             query_cache: true,
             incremental: true,
-            preprocess: true,
-            fragment_instances: false,
-            core_cache: true,
-            hbr: true,
         }
     }
 }
@@ -146,31 +109,22 @@ pub struct CheckStats {
     pub cache_hits: u64,
     /// Queries that consulted the store and missed.
     pub cache_misses: u64,
-    /// Total SAT-core propagations across all queries, including the
-    /// propagation-equivalents charged for pre/inprocessing work (merged
-    /// across worker threads). This is the deterministic currency solver
-    /// budgets are denominated in, and the `solver_speed` benchmark's
-    /// measure of raw solver work.
+    /// Total SAT-core propagations across all queries (merged across worker
+    /// threads). This is the deterministic currency solver budgets are
+    /// denominated in, and the `solver_speed` benchmark's measure of raw
+    /// solver work.
     pub propagations: u64,
-    /// SAT-core propagations spent on queries that ended `Unsat` — the
-    /// share of `propagations` the Unsat fast path attacks, and the
-    /// denominator of the `speedup_unsat_vs_pr9` benchmark ratio.
-    pub unsat_propagations: u64,
     /// Total SAT-core conflicts across all queries.
     pub conflicts: u64,
     /// Total SAT-core restarts across all queries.
     pub restarts: u64,
     /// Clauses learned by conflict analysis across all queries.
     pub learned_clauses: u64,
-    /// Learned clauses evicted by LBD-aware clause-database reduction.
+    /// Learned clauses evicted by clause-database reduction.
     pub deleted_clauses: u64,
     /// Sum of learn-time literal-block-distance values over all learned
     /// clauses; `lbd_sum / learned_clauses` is the average glue.
     pub lbd_sum: u64,
-    /// Simplification steps performed by the solver's pre/inprocessing
-    /// layer: failed literals asserted, clauses subsumed or strengthened,
-    /// variables eliminated, learned clauses vivified.
-    pub preprocess_eliminations: u64,
     /// Queries decided by a persistent incremental solver instance (merged
     /// across worker threads; 0 when `CheckerConfig::incremental` is off).
     pub incremental_queries: u64,
@@ -178,30 +132,19 @@ pub struct CheckStats {
     /// (summed over queries; the clause-reuse counter of the solver layer).
     pub reused_clauses: u64,
     /// Queries answered `Sat` (merged across worker threads). Together with
-    /// `unsat_queries`, `timeouts`, and the cache/core counters this is the
+    /// `unsat_queries`, `timeouts`, and the cache counters this is the
     /// per-scan verdict breakdown.
     pub sat_queries: u64,
     /// Queries answered `Unsat` (merged across worker threads).
     pub unsat_queries: u64,
-    /// `Sat` answers the SAT core served from its model cache in zero
-    /// propagations.
+    /// Always 0: the SAT core no longer has a model cache. Kept because
+    /// existing readers of these statistics still name the field.
     pub model_cache_hits: u64,
-    /// `Unsat` answers the SAT core served from its assumption-core cache in
-    /// zero propagations.
+    /// Always 0: the SAT core no longer has an assumption-core cache. Kept
+    /// because existing readers of these statistics still name the field.
     pub core_cache_hits: u64,
-    /// Assumption cores extracted and recorded after `Unsat` answers.
-    pub cores_recorded: u64,
-    /// Sum of literal counts over recorded cores (`core_size_sum /
-    /// cores_recorded` is the average core size).
-    pub core_size_sum: u64,
-    /// Binary clauses added by hyper-binary resolution during probing.
-    pub hbr_binaries_added: u64,
-    /// Learned clauses evicted from the mid (tier2) clause-database tier.
-    pub deleted_tier2: u64,
-    /// Learned clauses evicted from the local (high-LBD) tier.
-    pub deleted_local: u64,
-    /// Minimal-UB-set queries skipped because an extracted assumption core
-    /// already proved them `Unsat`.
+    /// Always 0: the minimal-UB-set loop no longer skips queries. Kept
+    /// because existing readers of these statistics still name the field.
     pub minimization_queries_saved: u64,
     /// Worker threads the run actually used (maximum across modules for an
     /// aggregate).
@@ -233,16 +176,6 @@ impl CheckStats {
         }
     }
 
-    /// Average literal count of recorded assumption cores (0 when none were
-    /// recorded).
-    pub fn avg_core_size(&self) -> f64 {
-        if self.cores_recorded == 0 {
-            0.0
-        } else {
-            self.core_size_sum as f64 / self.cores_recorded as f64
-        }
-    }
-
     /// Fold another run's counters into this one (the session aggregate):
     /// counts and times add, `threads` takes the maximum, and the
     /// per-algorithm report counts merge keywise.
@@ -257,25 +190,15 @@ impl CheckStats {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.propagations += other.propagations;
-        self.unsat_propagations += other.unsat_propagations;
         self.conflicts += other.conflicts;
         self.restarts += other.restarts;
         self.learned_clauses += other.learned_clauses;
         self.deleted_clauses += other.deleted_clauses;
         self.lbd_sum += other.lbd_sum;
-        self.preprocess_eliminations += other.preprocess_eliminations;
         self.incremental_queries += other.incremental_queries;
         self.reused_clauses += other.reused_clauses;
         self.sat_queries += other.sat_queries;
         self.unsat_queries += other.unsat_queries;
-        self.model_cache_hits += other.model_cache_hits;
-        self.core_cache_hits += other.core_cache_hits;
-        self.cores_recorded += other.cores_recorded;
-        self.core_size_sum += other.core_size_sum;
-        self.hbr_binaries_added += other.hbr_binaries_added;
-        self.deleted_tier2 += other.deleted_tier2;
-        self.deleted_local += other.deleted_local;
-        self.minimization_queries_saved += other.minimization_queries_saved;
         self.threads = self.threads.max(other.threads);
         self.elapsed += other.elapsed;
         for (algorithm, count) in &other.by_algorithm {
@@ -647,68 +570,19 @@ mod tests {
     }
 
     #[test]
-    fn preprocessing_off_and_granularity_match_defaults() {
-        // Every simplification the solver's pre/inprocessing layer performs
-        // preserves satisfiability, and instance granularity only changes
-        // which persistent instance decides a query — so reports must be
-        // identical with the layer off, with per-fragment instances, across
-        // thread counts.
-        let baseline = Checker::new()
-            .check_source(MULTI_FUNCTION_SRC, "multi.c")
-            .unwrap();
-        for (threads, preprocess, fragment_instances) in [
-            (1, false, false),
-            (4, false, false),
-            (1, true, true),
-            (4, true, true),
-        ] {
-            let variant = Checker::with_config(CheckerConfig {
-                threads: Some(threads),
-                preprocess,
-                fragment_instances,
-                ..CheckerConfig::default()
-            })
-            .check_source(MULTI_FUNCTION_SRC, "multi.c")
-            .unwrap();
-            assert_eq!(
-                format!("{:?}", baseline.reports),
-                format!("{:?}", variant.reports),
-                "threads={threads} preprocess={preprocess} fragments={fragment_instances}"
-            );
-            assert_eq!(baseline.stats.queries, variant.stats.queries);
-        }
-    }
-
-    #[test]
     fn solver_counters_surface_in_check_stats() {
         let result = check_with_inc(Some(1), false, true);
         assert!(result.stats.propagations > 0, "{:?}", result.stats);
         assert!(result.stats.conflicts > 0, "{:?}", result.stats);
         assert!(result.stats.learned_clauses > 0, "{:?}", result.stats);
         assert!(result.stats.avg_lbd() > 0.0, "{:?}", result.stats);
-        assert!(
-            result.stats.preprocess_eliminations > 0,
-            "{:?}",
-            result.stats
-        );
-        let off = Checker::with_config(CheckerConfig {
-            threads: Some(1),
-            query_cache: false,
-            preprocess: false,
-            ..CheckerConfig::default()
-        })
-        .check_source(MULTI_FUNCTION_SRC, "multi.c")
-        .unwrap();
-        assert_eq!(off.stats.preprocess_eliminations, 0, "{:?}", off.stats);
-        assert!(off.stats.propagations > 0);
     }
 
     #[test]
-    fn budget_exhausted_during_preprocessing_degrades_and_never_persists() {
-        // A one-propagation budget is exhausted by the preprocessing pass
-        // itself, before any CDCL search: the query must degrade to
-        // `Unknown`, be counted as a timeout and a degraded module, and
-        // leave nothing behind in the query store.
+    fn budget_exhausted_query_degrades_and_never_persists() {
+        // A one-propagation budget is exhausted early in the CDCL search:
+        // the query must degrade to `Unknown`, be counted as a timeout and a
+        // degraded module, and leave nothing behind in the query store.
         let checker = Checker::with_config(CheckerConfig {
             threads: Some(1),
             query_budget: 1,

@@ -45,15 +45,7 @@ pub struct AnalysisSession {
     config: CheckerConfig,
     store: Arc<dyn QueryStore>,
     aggregate: Mutex<CheckStats>,
-    /// Assumption cores shared across every solver this session creates
-    /// (all modules, all worker threads), keyed on the blasted formula's
-    /// fingerprint — so a core derived for one function answers the
-    /// identical query of a structurally identical function anywhere else
-    /// in the scan. Only consulted when `config.core_cache` is on.
-    shared_cores: Arc<SharedCoreMutex>,
 }
-
-type SharedCoreMutex = std::sync::Mutex<stack_solver::sat::SharedCoreCache>;
 
 /// The outcome of checking one selected function of a module: its **raw**
 /// reports — in discovery order, before the module-level dedup/suppression
@@ -93,7 +85,6 @@ impl AnalysisSession {
             config,
             store,
             aggregate: Mutex::new(CheckStats::default()),
-            shared_cores: Arc::new(SharedCoreMutex::default()),
         }
     }
 
@@ -146,13 +137,6 @@ impl AnalysisSession {
             solver.set_store(Some(Arc::clone(&self.store)));
         }
         solver.set_incremental(self.config.incremental);
-        solver.set_preprocessing(self.config.preprocess);
-        solver.set_fragment_instances(self.config.fragment_instances);
-        solver.set_core_caching(self.config.core_cache);
-        solver.set_hbr(self.config.hbr);
-        if self.config.core_cache {
-            solver.set_shared_cores(Arc::clone(&self.shared_cores));
-        }
         solver
     }
 
@@ -293,26 +277,19 @@ impl AnalysisSession {
             degraded_modules: usize::from(solver_stats.timeouts > 0),
             cache_hits: solver_stats.cache_hits,
             cache_misses: solver_stats.cache_misses,
-            propagations: solver_stats.propagations,
-            unsat_propagations: solver_stats.unsat_propagations,
-            conflicts: solver_stats.conflicts,
-            restarts: solver_stats.restarts,
-            learned_clauses: solver_stats.learned_clauses,
-            deleted_clauses: solver_stats.deleted_clauses,
-            lbd_sum: solver_stats.lbd_sum,
-            preprocess_eliminations: solver_stats.preprocess_eliminations,
+            propagations: solver_stats.sat_core.propagations,
+            conflicts: solver_stats.sat_core.conflicts,
+            restarts: solver_stats.sat_core.restarts,
+            learned_clauses: solver_stats.sat_core.learned_clauses,
+            deleted_clauses: solver_stats.sat_core.deleted_clauses,
+            lbd_sum: solver_stats.sat_core.lbd_sum,
             incremental_queries: solver_stats.incremental_queries,
             reused_clauses: solver_stats.reused_clauses,
             sat_queries: solver_stats.sat,
             unsat_queries: solver_stats.unsat,
-            model_cache_hits: solver_stats.model_cache_hits,
-            core_cache_hits: solver_stats.core_cache_hits,
-            cores_recorded: solver_stats.cores_recorded,
-            core_size_sum: solver_stats.core_size_sum,
-            hbr_binaries_added: solver_stats.hbr_binaries_added,
-            deleted_tier2: solver_stats.deleted_tier2,
-            deleted_local: solver_stats.deleted_local,
-            minimization_queries_saved: solver_stats.minimization_queries_saved,
+            model_cache_hits: 0,
+            core_cache_hits: 0,
+            minimization_queries_saved: 0,
             threads,
             elapsed: start.elapsed(),
             by_algorithm: HashMap::new(),
@@ -450,10 +427,6 @@ impl AnalysisSession {
             if block == func.entry() || !enc.cfg.is_reachable(block) {
                 continue;
             }
-            // Under per-fragment instance granularity, this block's queries
-            // start on a fresh solver instance; by default (per-function) the
-            // call is a no-op and the function-wide instance persists.
-            solver.begin_fragment();
             let reach = enc.reach_term(block);
             match solver.check(&enc.pool, &[reach]) {
                 QueryResult::Unsat | QueryResult::Unknown => continue, // trivially dead / timeout
@@ -495,8 +468,6 @@ impl AnalysisSession {
             let InstKind::Cmp { pred, lhs, rhs } = func.inst(inst_id).kind.clone() else {
                 continue;
             };
-            // One fragment per queried comparison, mirroring the block loop.
-            solver.begin_fragment();
             let index = func.position_in_block(inst_id).map(|(_, i)| i).unwrap_or(0);
             let e_term = enc.bool_term(Operand::Inst(inst_id));
             let reach = enc.reach_term(block);
@@ -617,19 +588,6 @@ fn dominating_conditions(
 /// iteration is a `check_assuming` toggle rather than a fresh bit-blast; the
 /// query store still short-circuits iterations repeated across structurally
 /// identical functions.
-///
-/// When the solver extracted an assumption core for the triggering query
-/// (always the `check` call immediately preceding this one), the loop seeds
-/// its search from it: a core is a subset of `base` plus the asserted
-/// negations that is unsatisfiable on its own, so dropping a condition whose
-/// negation is *outside* the core leaves the whole core asserted and the
-/// query inevitably `Unsat` — the iteration is skipped without entering the
-/// solver (counted as `minimization_queries_saved`). Iterations that do run
-/// and answer `Unsat` refresh the core, shrinking it as the loop proceeds.
-/// Because every iteration tests the full set minus exactly one condition
-/// (never an accumulated subset), a skip reproduces the exact verdict the
-/// query would have returned, so the resulting minimal set — and with it
-/// every report — is byte-identical with seeding on or off.
 fn minimal_ub_set(
     pool: &stack_solver::TermPool,
     solver: &mut BvSolver,
@@ -637,15 +595,8 @@ fn minimal_ub_set(
     dom_conds: &[usize],
     neg_terms: &[TermId],
 ) -> Vec<usize> {
-    let mut core: Option<Vec<TermId>> = solver.last_unsat_core().map(<[TermId]>::to_vec);
     let mut essential = Vec::new();
     for &skip in dom_conds {
-        if let Some(c) = &core {
-            if !c.contains(&neg_terms[skip]) {
-                solver.note_minimization_saved();
-                continue;
-            }
-        }
         let mut assertions = base.to_vec();
         assertions.extend(
             dom_conds
@@ -653,17 +604,8 @@ fn minimal_ub_set(
                 .filter(|&&ci| ci != skip)
                 .map(|&ci| neg_terms[ci]),
         );
-        match solver.check(pool, &assertions) {
-            QueryResult::Sat(_) | QueryResult::Unknown => essential.push(skip),
-            QueryResult::Unsat => {
-                // A fresh core (absent on store hits, which leave the
-                // previous — still valid — one in place) is a subset of this
-                // query's assertions, so the invariant "core ⊆ base ∪
-                // still-asserted negations" holds.
-                if let Some(fresh) = solver.last_unsat_core() {
-                    core = Some(fresh.to_vec());
-                }
-            }
+        if !solver.check(pool, &assertions).is_unsat() {
+            essential.push(skip);
         }
     }
     if essential.is_empty() {

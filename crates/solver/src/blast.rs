@@ -347,13 +347,6 @@ impl BitBlaster {
 
     // ---- Term translation --------------------------------------------------------
 
-    /// The literal a boolean term was already translated to, if any. A
-    /// read-only probe into the memo table: callers mapping assumption cores
-    /// back to terms must not trigger fresh blasting.
-    pub fn bool_literal(&self, t: TermId) -> Option<Lit> {
-        self.bool_cache.get(&t).copied()
-    }
-
     /// Translate a boolean term to a literal.
     pub fn blast_bool(&mut self, pool: &TermPool, sat: &mut SatSolver, t: TermId) -> Lit {
         debug_assert!(pool.sort(t).is_bool(), "blast_bool on non-boolean term");

@@ -81,6 +81,7 @@ pub struct InstanceStats {
 /// assert!(instance.check_assuming(&[l_pos, l_neg]).is_unsat());
 /// assert!(instance.check_assuming(&[l_neg]).is_sat());
 /// ```
+#[derive(Default)]
 pub struct SolverInstance {
     sat: SatSolver,
     blaster: BitBlaster,
@@ -91,31 +92,7 @@ pub struct SolverInstance {
     /// Clauses emitted by [`literal_for`](SolverInstance::literal_for) since
     /// the last query; everything older counts as reused by the next query.
     fresh_clauses: usize,
-    /// Run the deterministic preprocessing pass before the first query.
-    /// Bounded variable elimination stays off either way: later
-    /// [`literal_for`](SolverInstance::literal_for) calls may add clauses
-    /// over existing variables, which elimination does not survive. Probing,
-    /// subsumption, and strengthening preserve logical equivalence, so they
-    /// are safe under incremental additions.
-    preprocess: bool,
-    /// Whether the one-shot preprocessing pass has already run.
-    preprocessed: bool,
     stats: InstanceStats,
-}
-
-impl Default for SolverInstance {
-    fn default() -> SolverInstance {
-        SolverInstance {
-            sat: SatSolver::new(),
-            blaster: BitBlaster::default(),
-            budget: Budget::default(),
-            epoch: None,
-            fresh_clauses: 0,
-            preprocess: true,
-            preprocessed: false,
-            stats: InstanceStats::default(),
-        }
-    }
 }
 
 impl std::fmt::Debug for SolverInstance {
@@ -146,50 +123,6 @@ impl SolverInstance {
     /// Change the per-query budget.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
-    }
-
-    /// Enable or disable the preprocessing/inprocessing layer (on by
-    /// default). Off restores the pre-LBD solver behaviour: no simplification
-    /// pass, no vivification between restarts, activity-only clause-database
-    /// reduction.
-    pub fn set_preprocessing(&mut self, on: bool) {
-        self.preprocess = on;
-        self.sat.set_preprocessing(on);
-    }
-
-    /// Enable or disable assumption-core memoization on the underlying SAT
-    /// core (on by default). See [`SatSolver::set_core_caching`].
-    pub fn set_core_caching(&mut self, on: bool) {
-        self.sat.set_core_caching(on);
-    }
-
-    /// Enable or disable hyper-binary resolution during probing (on by
-    /// default). See [`SatSolver::set_hbr`].
-    pub fn set_hbr(&mut self, on: bool) {
-        self.sat.set_hbr(on);
-    }
-
-    /// Attach the owning solver's cross-instance core store. See
-    /// [`SatSolver::set_shared_cores`].
-    pub fn set_shared_cores(
-        &mut self,
-        shared: Option<std::sync::Arc<std::sync::Mutex<crate::sat::SharedCoreCache>>>,
-    ) {
-        self.sat.set_shared_cores(shared);
-    }
-
-    /// The assumption core of the last `Unsat` answer: a subset of that
-    /// query's assumption literals already unsatisfiable with the formula
-    /// (empty when the formula itself is unsatisfiable). `None` after
-    /// non-`Unsat` answers or with core caching off.
-    pub fn last_core(&self) -> Option<&[Lit]> {
-        self.sat.last_core()
-    }
-
-    /// The assumption literal a term was registered to, if it has been
-    /// registered, without blasting anything new.
-    pub fn registered_literal(&self, term: TermId) -> Option<Lit> {
-        self.blaster.bool_literal(term)
     }
 
     /// Epoch of the pool this instance is tied to (`None` until the first
@@ -223,8 +156,7 @@ impl SolverInstance {
         self.epoch = Some(pool.epoch());
         debug_assert!(pool.sort(term).is_bool());
         // Blasting may add clauses; `add_clause` cancels to the root itself
-        // when it does. Leaving the trail alone on the (common) all-cached
-        // path lets the next solve reuse it for shared assumptions.
+        // when it does.
         let before = self.sat.num_clauses();
         let lit = self.blaster.blast_bool(pool, &mut self.sat, term);
         let added = self.sat.num_clauses() - before;
@@ -249,21 +181,6 @@ impl SolverInstance {
         let reused = self.sat.num_clauses().saturating_sub(self.fresh_clauses);
         self.stats.reused_clauses += reused as u64;
         self.fresh_clauses = 0;
-        if self.preprocess && !self.preprocessed {
-            self.preprocessed = true;
-            // Simplification rewrites clauses, which is only legal at the
-            // root level. Its cost is charged to the budget and carried into
-            // the solve below, so degraded verdicts stay byte-reproducible.
-            self.sat.cancel_until_root();
-            match self.sat.preprocess(self.budget, false) {
-                // Root-unsat: fall through to `solve_with`, which answers
-                // immediately and records the (empty) assumption core so
-                // `last_core` cannot report a stale earlier core.
-                Some(SatResult::Unsat) => {}
-                Some(SatResult::Unknown) => return QueryResult::Unknown,
-                _ => {}
-            }
-        }
         match self.sat.solve_with(assumptions, self.budget) {
             SatResult::Unsat => QueryResult::Unsat,
             SatResult::Unknown => QueryResult::Unknown,

@@ -16,11 +16,11 @@ use crate::blast::BitBlaster;
 use crate::cache::FingerprintMemo;
 use crate::incremental::SolverInstance;
 use crate::model::Model;
-use crate::sat::{Budget, SatResult, SatSolver, SharedCoreCache};
+use crate::sat::{Budget, SatResult, SatSolver, SatStats};
 use crate::store::QueryStore;
 use crate::term::{Sort, TermId, TermKind, TermPool};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Outcome of a single query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,28 +62,9 @@ pub struct SolverStats {
     pub unsat: u64,
     /// Queries that exhausted their budget ("timeouts").
     pub timeouts: u64,
-    /// Total SAT-level propagations across all queries.
-    pub propagations: u64,
-    /// SAT-level propagations spent on queries that ended `Unsat` — the
-    /// share of `propagations` the Unsat fast path (core cache, HBR,
-    /// tiered clause database) is able to attack.
-    pub unsat_propagations: u64,
-    /// Total conflicts across all queries.
-    pub conflicts: u64,
-    /// Total restarts across all queries.
-    pub restarts: u64,
-    /// Clauses learned by conflict analysis across all queries.
-    pub learned_clauses: u64,
-    /// Learned clauses evicted by clause-database reduction.
-    pub deleted_clauses: u64,
-    /// Sum of literal-block-distance values over all learned clauses; divide
-    /// by [`learned_clauses`](SolverStats::learned_clauses) for the average
-    /// (see [`SolverStats::avg_lbd`]).
-    pub lbd_sum: u64,
-    /// Simplification steps by pre/inprocessing: failed literals asserted,
-    /// clauses subsumed or strengthened, variables eliminated, learned
-    /// clauses vivified.
-    pub preprocess_eliminations: u64,
+    /// SAT-core work (propagations, conflicts, restarts, learned and evicted
+    /// clauses) summed over every query that reached the SAT core.
+    pub sat_core: SatStats,
     /// Queries answered from the shared [`QueryCache`](crate::cache::QueryCache) without bit-blasting.
     pub cache_hits: u64,
     /// Queries that consulted the cache and missed.
@@ -95,26 +76,6 @@ pub struct SolverStats {
     /// started — formula reused across queries instead of re-emitted. Summed
     /// over all incremental queries.
     pub reused_clauses: u64,
-    /// `Sat` answers the SAT core served from its model cache (valid trail
-    /// or cached-model store) in zero propagations.
-    pub model_cache_hits: u64,
-    /// `Unsat` answers the SAT core served from its assumption-core cache in
-    /// zero propagations.
-    pub core_cache_hits: u64,
-    /// Assumption cores extracted and recorded after `Unsat` answers.
-    pub cores_recorded: u64,
-    /// Sum of literal counts over recorded cores (see
-    /// [`SolverStats::avg_core_size`]).
-    pub core_size_sum: u64,
-    /// Binary clauses added by hyper-binary resolution during probing.
-    pub hbr_binaries_added: u64,
-    /// Learned clauses evicted from the mid (tier2) clause-database tier.
-    pub deleted_tier2: u64,
-    /// Learned clauses evicted from the local (high-LBD) tier.
-    pub deleted_local: u64,
-    /// Queries the checker's minimal-UB-set loop skipped because the last
-    /// extracted assumption core already proved them `Unsat`.
-    pub minimization_queries_saved: u64,
 }
 
 impl SolverStats {
@@ -127,47 +88,11 @@ impl SolverStats {
         self.sat += other.sat;
         self.unsat += other.unsat;
         self.timeouts += other.timeouts;
-        self.propagations += other.propagations;
-        self.unsat_propagations += other.unsat_propagations;
-        self.conflicts += other.conflicts;
-        self.restarts += other.restarts;
-        self.learned_clauses += other.learned_clauses;
-        self.deleted_clauses += other.deleted_clauses;
-        self.lbd_sum += other.lbd_sum;
-        self.preprocess_eliminations += other.preprocess_eliminations;
+        self.sat_core.merge(&other.sat_core);
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.incremental_queries += other.incremental_queries;
         self.reused_clauses += other.reused_clauses;
-        self.model_cache_hits += other.model_cache_hits;
-        self.core_cache_hits += other.core_cache_hits;
-        self.cores_recorded += other.cores_recorded;
-        self.core_size_sum += other.core_size_sum;
-        self.hbr_binaries_added += other.hbr_binaries_added;
-        self.deleted_tier2 += other.deleted_tier2;
-        self.deleted_local += other.deleted_local;
-        self.minimization_queries_saved += other.minimization_queries_saved;
-    }
-
-    /// Average literal-block-distance over all learned clauses (0.0 when
-    /// nothing was learned). Low averages mean the solver mostly learns
-    /// "glue" clauses that tie few decision levels together.
-    pub fn avg_lbd(&self) -> f64 {
-        if self.learned_clauses == 0 {
-            0.0
-        } else {
-            self.lbd_sum as f64 / self.learned_clauses as f64
-        }
-    }
-
-    /// Average literal count of recorded assumption cores (0.0 when none
-    /// were recorded). Small cores answer more future superset queries.
-    pub fn avg_core_size(&self) -> f64 {
-        if self.cores_recorded == 0 {
-            0.0
-        } else {
-            self.core_size_sum as f64 / self.cores_recorded as f64
-        }
     }
 }
 
@@ -181,31 +106,7 @@ pub struct BvSolver {
     /// Whether cache misses are decided by a persistent [`SolverInstance`]
     /// (one per pool epoch) instead of a from-scratch bit-blast.
     incremental: bool,
-    /// Whether the SAT core runs its pre/inprocessing layer (on by default).
-    preprocess: bool,
-    /// In incremental mode, start a fresh [`SolverInstance`] per checker
-    /// fragment ([`BvSolver::begin_fragment`]) instead of sharing one across
-    /// the whole pool/function.
-    fragment_instances: bool,
-    /// Whether the SAT core extracts and memoizes assumption cores after
-    /// `Unsat` answers (on by default).
-    core_cache: bool,
-    /// Whether the SAT core runs hyper-binary resolution during probing (on
-    /// by default).
-    hbr: bool,
-    /// The subset of the last `Unsat` [`check`](BvSolver::check) call's
-    /// assertion terms that its extracted assumption core maps back to —
-    /// already unsatisfiable on their own. `None` after non-`Unsat` answers,
-    /// store hits, presimplify shortcuts, fresh-mode solves (no assumptions,
-    /// so no assumption core), or with core caching off.
-    last_core_terms: Option<Vec<TermId>>,
     instance: Option<SolverInstance>,
-    /// Assumption cores shared across this solver's successive instances,
-    /// keyed on the blasted formula's fingerprint — structurally identical
-    /// functions recur across a scan, and a core one instance derived
-    /// answers the identical query in a later instance without search. See
-    /// [`SharedCoreCache`].
-    shared_cores: Arc<Mutex<SharedCoreCache>>,
 }
 
 impl Default for BvSolver {
@@ -229,13 +130,7 @@ impl BvSolver {
             store: None,
             memo: FingerprintMemo::default(),
             incremental: false,
-            preprocess: true,
-            fragment_instances: false,
-            core_cache: true,
-            hbr: true,
-            last_core_terms: None,
             instance: None,
-            shared_cores: Arc::new(Mutex::new(SharedCoreCache::default())),
         }
     }
 
@@ -274,144 +169,15 @@ impl BvSolver {
         self
     }
 
-    /// Enable or disable the SAT core's pre/inprocessing layer (on by
-    /// default). With preprocessing on, fresh-mode queries run bounded
-    /// variable elimination, subsumption/self-subsumption, and failed-literal
-    /// probing before the CDCL loop, incremental instances run the
-    /// elimination-free subset once before their first query, and the solve
-    /// loop vivifies learned clauses between restarts and reduces the clause
-    /// database LBD-first. Off restores the pre-LBD solver behaviour — the
-    /// benchmark baseline, reachable from the CLI as `--no-preprocess`.
-    ///
-    /// Decided (`Sat`/`Unsat`) answers are identical either way: every
-    /// simplification preserves satisfiability, and `Sat` models are
-    /// reconstructed over eliminated variables. Only where a propagation
-    /// budget runs out — and therefore which queries degrade to `Unknown` —
-    /// can differ between the two settings.
-    pub fn set_preprocessing(&mut self, on: bool) {
-        self.preprocess = on;
-        if let Some(instance) = &mut self.instance {
-            instance.set_preprocessing(on);
-        }
-    }
-
-    /// Builder-style variant of [`BvSolver::set_preprocessing`].
-    pub fn with_preprocessing(mut self, on: bool) -> BvSolver {
-        self.set_preprocessing(on);
-        self
-    }
-
-    /// Enable or disable assumption-core memoization (on by default). With
-    /// it on, every `Unsat` answer under assumptions extracts the final
-    /// conflict's assumption core; future queries assuming a superset of a
-    /// recorded core answer `Unsat` in zero propagations, and
-    /// [`last_unsat_core`](BvSolver::last_unsat_core) exposes the core's
-    /// assertion terms so the checker's minimization loop can skip queries
-    /// the core already decides. Off is the exact prior Unsat path,
-    /// reachable from the CLI as `--no-core-cache`.
-    pub fn set_core_caching(&mut self, on: bool) {
-        self.core_cache = on;
-        if !on {
-            self.last_core_terms = None;
-        }
-        if let Some(instance) = &mut self.instance {
-            instance.set_core_caching(on);
-        }
-    }
-
-    /// Builder-style variant of [`BvSolver::set_core_caching`].
-    pub fn with_core_caching(mut self, on: bool) -> BvSolver {
-        self.set_core_caching(on);
-        self
-    }
-
-    /// Enable or disable hyper-binary resolution during the SAT core's
-    /// probing pass (on by default; `--no-hbr` from the CLI).
-    pub fn set_hbr(&mut self, on: bool) {
-        self.hbr = on;
-        if let Some(instance) = &mut self.instance {
-            instance.set_hbr(on);
-        }
-    }
-
-    /// Builder-style variant of [`BvSolver::set_hbr`].
-    pub fn with_hbr(mut self, on: bool) -> BvSolver {
-        self.set_hbr(on);
-        self
-    }
-
-    /// The assertion-term core of the last `Unsat` [`check`](BvSolver::check)
-    /// answer, when one was extracted: a subset of that call's assertions
-    /// already unsatisfiable by itself. Conservative — terms the mapping
-    /// cannot prove out of the SAT-level core stay in. `None` whenever no
-    /// fresh core is available (see the field docs).
-    pub fn last_unsat_core(&self) -> Option<&[TermId]> {
-        self.last_core_terms.as_deref()
-    }
-
-    /// Record that the checker's minimal-UB-set loop skipped a query an
-    /// extracted core already decided (threaded into the scan summary as
-    /// `minimization_queries_saved`).
-    pub fn note_minimization_saved(&mut self) {
-        self.stats.minimization_queries_saved += 1;
-    }
-
-    /// Choose the incremental instance granularity: `false` (default) keeps
-    /// one [`SolverInstance`] per [`TermPool`] — in the checker, one per
-    /// function — while `true` starts a fresh instance at every
-    /// [`BvSolver::begin_fragment`] call. Per-fragment instances trade the
-    /// shared encoding and learned clauses of the function-wide instance for
-    /// smaller CNFs per query; measurement (see `BENCH_checker.json`,
-    /// `solver_speed`) says sharing wins, so per-function is the default.
-    /// Has no effect outside incremental mode.
-    pub fn set_fragment_instances(&mut self, on: bool) {
-        self.fragment_instances = on;
-    }
-
-    /// Builder-style variant of [`BvSolver::set_fragment_instances`].
-    pub fn with_fragment_instances(mut self, on: bool) -> BvSolver {
-        self.set_fragment_instances(on);
-        self
-    }
-
-    /// Notify the solver that the checker is starting a new fragment. In
-    /// incremental mode with per-fragment granularity
-    /// ([`BvSolver::set_fragment_instances`]) this retires the current
-    /// persistent instance so the fragment's queries start on a fresh one;
-    /// in every other configuration it is a no-op.
-    pub fn begin_fragment(&mut self) {
-        if self.incremental && self.fragment_instances {
-            self.instance = None;
-        }
-    }
-
     /// The persistent instance for `pool`, creating or replacing it as
     /// needed. Only meaningful in incremental mode.
     fn instance_for(&mut self, pool: &TermPool) -> &mut SolverInstance {
         let stale =
             !matches!(&self.instance, Some(i) if i.epoch().is_none_or(|e| e == pool.epoch()));
         if stale {
-            let mut instance = SolverInstance::with_budget(self.budget);
-            instance.set_preprocessing(self.preprocess);
-            instance.set_core_caching(self.core_cache);
-            instance.set_hbr(self.hbr);
-            if self.core_cache {
-                instance.set_shared_cores(Some(Arc::clone(&self.shared_cores)));
-            }
-            self.instance = Some(instance);
+            self.instance = Some(SolverInstance::with_budget(self.budget));
         }
         self.instance.as_mut().expect("instance just ensured")
-    }
-
-    /// Replace the cross-instance core store with one shared more widely —
-    /// typically session-owned, so cores survive this solver itself and
-    /// reach the solvers of later modules. Only consulted with core caching
-    /// on; safe to share across threads (the fingerprint key guarantees a
-    /// looked-up core belongs to the byte-identical formula, whichever
-    /// worker recorded it).
-    pub fn set_shared_cores(&mut self, shared: Arc<Mutex<SharedCoreCache>>) {
-        self.shared_cores = shared;
-        self.instance = None;
     }
 
     /// Attach (or detach) a memoized query store, typically shared between
@@ -451,21 +217,11 @@ impl BvSolver {
     /// stored back into the cache.
     pub fn check(&mut self, pool: &TermPool, assertions: &[TermId]) -> QueryResult {
         self.stats.queries += 1;
-        // A core is only meaningful for the query that produced it; anything
-        // short of a fresh incremental `Unsat` solve leaves this `None`.
-        self.last_core_terms = None;
 
         // Pre-solve simplification of the assertion conjunction.
         let mut simplified = match presimplify(pool, assertions) {
-            Presimplified::Unsat(clash) => {
+            Presimplified::Unsat => {
                 self.stats.unsat += 1;
-                // The clashing pair (or lone `false` conjunct) is an unsat
-                // core at the assertion level; expose it so the checker's
-                // minimization loop can seed from trivially-decided queries
-                // exactly as it does from solved ones.
-                if self.core_cache {
-                    self.last_core_terms = Some(clash);
-                }
                 return QueryResult::Unsat;
             }
             Presimplified::Sat => {
@@ -522,13 +278,6 @@ impl BvSolver {
         } else {
             self.solve_fresh(pool, &simplified)
         };
-        if self.incremental && outcome.is_unsat() {
-            // `solve_with` actually ran for this query (the store missed and
-            // root-unsat preprocessing falls through to it), so the
-            // instance's `last_core` — if any — belongs to exactly this
-            // assumption set and can be mapped back to assertion terms.
-            self.last_core_terms = self.core_terms(assertions, &simplified);
-        }
         match &outcome {
             QueryResult::Unsat => self.stats.unsat += 1,
             QueryResult::Unknown => self.stats.timeouts += 1,
@@ -548,82 +297,22 @@ impl BvSolver {
         outcome
     }
 
-    /// Map the SAT-level assumption core of the last incremental `Unsat`
-    /// back to assertion terms, conservatively: an assertion is dropped only
-    /// when it provably sits outside the core — it survived presimplification
-    /// as itself (so its registered literal *is* its assumption literal, not
-    /// a literal hidden by flattening or dedup) and that literal is not in
-    /// the core. Everything the mapping cannot account for stays in, which
-    /// keeps the returned set unsatisfiable.
-    fn core_terms(&self, assertions: &[TermId], simplified: &[TermId]) -> Option<Vec<TermId>> {
-        let instance = self.instance.as_ref()?;
-        let core = instance.last_core()?;
-        let kept: Vec<TermId> = assertions
-            .iter()
-            .copied()
-            .filter(|&t| {
-                if !simplified.contains(&t) {
-                    return true; // rewritten away; cannot attribute — keep
-                }
-                match instance.registered_literal(t) {
-                    Some(l) => core.contains(&l),
-                    None => true,
-                }
-            })
-            .collect();
-        Some(kept)
-    }
-
     /// Decide a (pre-simplified) assertion set with a throwaway SAT instance:
     /// blast every assertion, assert its literal, solve once.
     fn solve_fresh(&mut self, pool: &TermPool, simplified: &[TermId]) -> QueryResult {
         let mut sat = SatSolver::new();
-        sat.set_preprocessing(self.preprocess);
-        sat.set_core_caching(self.core_cache);
-        sat.set_hbr(self.hbr);
         let mut blaster = BitBlaster::new();
         for &a in simplified {
             let lit = blaster.blast_bool(pool, &mut sat, a);
             sat.add_clause(&[lit]);
         }
-        // The instance is throwaway, so the full preprocessing pass — with
-        // bounded variable elimination, which is only sound when no further
-        // clauses will be added — runs before the solve. Its cost is charged
-        // to the same budget the solve uses.
-        let result = match sat.preprocess(self.budget, true) {
-            Some(decided) => decided,
-            None => sat.solve_with(&[], self.budget),
-        };
-        self.accumulate_sat_stats(&sat.stats());
-        if matches!(result, SatResult::Unsat) {
-            // Search work only: the one-shot preprocessing pass is instance
-            // setup, not a cost of answering Unsat.
-            self.stats.unsat_propagations +=
-                sat.stats().propagations - sat.stats().preprocess_propagations;
-        }
+        let result = sat.solve_with(&[], self.budget);
+        self.stats.sat_core.merge(&sat.stats());
         match result {
             SatResult::Unsat => QueryResult::Unsat,
             SatResult::Unknown => QueryResult::Unknown,
             SatResult::Sat => QueryResult::Sat(blaster.extract_model(&sat)),
         }
-    }
-
-    /// Fold a SAT core's counters into the aggregate statistics.
-    fn accumulate_sat_stats(&mut self, sat: &crate::sat::SatStats) {
-        self.stats.propagations += sat.propagations;
-        self.stats.conflicts += sat.conflicts;
-        self.stats.restarts += sat.restarts;
-        self.stats.learned_clauses += sat.learned_clauses;
-        self.stats.deleted_clauses += sat.deleted_clauses;
-        self.stats.lbd_sum += sat.lbd_sum;
-        self.stats.preprocess_eliminations += sat.preprocess_eliminations;
-        self.stats.model_cache_hits += sat.model_cache_hits;
-        self.stats.core_cache_hits += sat.core_cache_hits;
-        self.stats.cores_recorded += sat.cores_recorded;
-        self.stats.core_size_sum += sat.core_size_sum;
-        self.stats.hbr_binaries_added += sat.hbr_binaries_added;
-        self.stats.deleted_tier2 += sat.deleted_tier2;
-        self.stats.deleted_local += sat.deleted_local;
     }
 
     /// Decide a (pre-simplified) assertion set on the persistent instance for
@@ -633,33 +322,11 @@ impl BvSolver {
         let instance = self.instance_for(pool);
         let (sat_before, inst_before) = (instance.sat_stats(), instance.stats());
         let outcome = instance.check_terms(pool, simplified);
-        let (sat_after, inst_after) = (instance.sat_stats(), instance.stats());
-        self.stats.propagations += sat_after.propagations - sat_before.propagations;
-        if outcome.is_unsat() {
-            // Charge search work only: the instance's one-shot preprocessing
-            // pass and restart-time vivification are amortized maintenance,
-            // not a cost of the query that happened to trigger them.
-            let d = (sat_after.propagations - sat_before.propagations)
-                - (sat_after.preprocess_propagations - sat_before.preprocess_propagations);
-            self.stats.unsat_propagations += d;
-        }
-        self.stats.conflicts += sat_after.conflicts - sat_before.conflicts;
-        self.stats.restarts += sat_after.restarts - sat_before.restarts;
-        self.stats.learned_clauses += sat_after.learned_clauses - sat_before.learned_clauses;
-        self.stats.deleted_clauses += sat_after.deleted_clauses - sat_before.deleted_clauses;
-        self.stats.lbd_sum += sat_after.lbd_sum - sat_before.lbd_sum;
-        self.stats.preprocess_eliminations +=
-            sat_after.preprocess_eliminations - sat_before.preprocess_eliminations;
-        self.stats.model_cache_hits += sat_after.model_cache_hits - sat_before.model_cache_hits;
-        self.stats.core_cache_hits += sat_after.core_cache_hits - sat_before.core_cache_hits;
-        self.stats.cores_recorded += sat_after.cores_recorded - sat_before.cores_recorded;
-        self.stats.core_size_sum += sat_after.core_size_sum - sat_before.core_size_sum;
-        self.stats.hbr_binaries_added +=
-            sat_after.hbr_binaries_added - sat_before.hbr_binaries_added;
-        self.stats.deleted_tier2 += sat_after.deleted_tier2 - sat_before.deleted_tier2;
-        self.stats.deleted_local += sat_after.deleted_local - sat_before.deleted_local;
+        let sat_work = instance.sat_stats().since(&sat_before);
+        let reused = instance.stats().reused_clauses - inst_before.reused_clauses;
+        self.stats.sat_core.merge(&sat_work);
         self.stats.incremental_queries += 1;
-        self.stats.reused_clauses += inst_after.reused_clauses - inst_before.reused_clauses;
+        self.stats.reused_clauses += reused;
         outcome
     }
 
@@ -685,11 +352,8 @@ impl BvSolver {
 
 /// Outcome of the pre-solve simplification of an assertion conjunction.
 enum Presimplified {
-    /// The conjunction is trivially false. Carries the top-level assertions
-    /// that witness the contradiction — the one folding to `false`, or the
-    /// pair whose flattened conjuncts complement each other — which form an
-    /// unsat core of the query on their own.
-    Unsat(Vec<TermId>),
+    /// The conjunction is trivially false.
+    Unsat,
     /// The conjunction is trivially true (empty after simplification).
     Sat,
     /// The remaining, flattened, deduplicated assertions.
@@ -710,39 +374,22 @@ enum Presimplified {
 ///   collapse, and a conjunct asserted both positively and under a negation
 ///   (`t` and `not t`) decides the query as UNSAT.
 fn presimplify(pool: &TermPool, assertions: &[TermId]) -> Presimplified {
-    // `seen` maps each flattened conjunct to the index of the top-level
-    // assertion it descends from, so a contradiction can name its witnesses.
     let mut out = Vec::with_capacity(assertions.len());
-    let mut seen: HashMap<TermId, usize> = HashMap::with_capacity(assertions.len());
-    let mut work: Vec<(TermId, usize)> = assertions
-        .iter()
-        .enumerate()
-        .rev()
-        .map(|(i, &t)| (t, i))
-        .collect();
-    let clash = |i: usize, j: usize| {
-        let mut core = vec![assertions[i], assertions[j]];
-        core.dedup();
-        Presimplified::Unsat(core)
-    };
-    while let Some((t, origin)) = work.pop() {
+    let mut seen: HashSet<TermId> = HashSet::with_capacity(assertions.len());
+    let mut work: Vec<TermId> = assertions.iter().rev().copied().collect();
+    while let Some(t) = work.pop() {
         debug_assert!(pool.sort(t).is_bool());
         match &pool.term(t).kind {
             TermKind::BoolConst(true) => {}
-            TermKind::BoolConst(false) => {
-                return Presimplified::Unsat(vec![assertions[origin]]);
-            }
+            TermKind::BoolConst(false) => return Presimplified::Unsat,
             TermKind::And(a, b) => {
                 // Preserve left-to-right order of the conjuncts.
-                work.push((*b, origin));
-                work.push((*a, origin));
+                work.push(*b);
+                work.push(*a);
             }
-            TermKind::Not(inner) if seen.contains_key(inner) => {
-                return clash(seen[inner], origin);
-            }
+            TermKind::Not(inner) if seen.contains(inner) => return Presimplified::Unsat,
             _ => {
-                if let std::collections::hash_map::Entry::Vacant(e) = seen.entry(t) {
-                    e.insert(origin);
+                if seen.insert(t) {
                     out.push(t);
                 }
             }
@@ -752,8 +399,8 @@ fn presimplify(pool: &TermPool, assertions: &[TermId]) -> Presimplified {
     // after `not t`): any asserted `Not(x)` whose `x` is also asserted.
     for &t in &out {
         if let TermKind::Not(inner) = &pool.term(t).kind {
-            if seen.contains_key(inner) {
-                return clash(seen[&t], seen[inner]);
+            if seen.contains(inner) {
+                return Presimplified::Unsat;
             }
         }
     }

@@ -72,114 +72,70 @@ fn cache_does_not_change_reports() {
     assert_eq!(sorted(cached), sorted(uncached));
 }
 
-/// The solver-configuration contract from the cache-miss critical path
-/// work: with every query decided (no budget), the pre/inprocessing layer
-/// and the incremental-instance granularity may change how much work the
-/// SAT core does, but never which verdicts come back — so the report
-/// stream must be byte-identical with preprocessing on or off, with
-/// per-function or per-fragment instances, at every parallelism width,
-/// all compared against the uncached sequential reference.
-#[test]
-fn preprocessing_and_granularity_do_not_change_reports() {
+/// Scan a seeded six-package archive without the query cache, so every
+/// query reaches the solver, and render its report stream.
+fn uncached_archive_reports(seed: u64, incremental: bool, jobs: usize) -> Vec<String> {
     let archive_cfg = ArchiveConfig {
         packages: 6,
-        seed: 0x50AC,
+        seed,
         ..ArchiveConfig::default()
     };
-    let files = generate_archive(&archive_cfg);
-    let tasks: Vec<ScanTask> = files
-        .iter()
+    let tasks: Vec<ScanTask> = generate_archive(&archive_cfg)
+        .into_iter()
         .map(|f| ScanTask {
-            name: f.name.clone(),
-            source: ScanSource::Inline(f.source.clone()),
+            name: f.name,
+            source: ScanSource::Inline(f.source),
         })
         .collect();
-    let run = |preprocess: bool, fragment_instances: bool, jobs: usize| {
-        let session = AnalysisSession::new(CheckerConfig {
-            threads: Some(1),
-            query_cache: false,
-            preprocess,
-            fragment_instances,
-            ..CheckerConfig::default()
-        });
-        let mut reports = Vec::new();
-        ScanPipeline::new(&session, jobs).run(&tasks, &mut |event| {
-            if let ScanEvent::Report(r) = event {
-                reports.push(format!("{r:?}"));
-            }
-        });
-        reports
-    };
+    let session = AnalysisSession::new(CheckerConfig {
+        threads: Some(1),
+        query_cache: false,
+        incremental,
+        ..CheckerConfig::default()
+    });
+    let mut reports = Vec::new();
+    ScanPipeline::new(&session, jobs).run(&tasks, &mut |event| {
+        if let ScanEvent::Report(r) = event {
+            reports.push(format!("{r:?}"));
+        }
+    });
+    reports
+}
 
-    let reference = run(true, false, 1);
+/// The solver-configuration contract: with every query decided (no
+/// budget), the SAT core has no pre/inprocessing layer to switch, and the
+/// one granularity choice left — one incremental instance per function or
+/// a fresh solver per query — may change how much work it does, but never
+/// which verdicts come back. The report stream must be byte-identical
+/// across that choice at every pipeline width, compared against the
+/// incremental sequential reference.
+#[test]
+fn preprocessing_and_granularity_do_not_change_reports() {
+    let reference = uncached_archive_reports(0x50AC, true, 1);
     assert!(!reference.is_empty(), "the archive must produce reports");
-    for (preprocess, fragment_instances, jobs) in [
-        (false, false, 1),
-        (true, true, 1),
-        (true, false, 4),
-        (false, false, 4),
-        (true, true, 4),
-    ] {
+    for (incremental, jobs) in [(false, 1), (true, 4), (false, 4)] {
         assert_eq!(
             reference,
-            run(preprocess, fragment_instances, jobs),
-            "preprocess={preprocess} fragment_instances={fragment_instances} jobs={jobs}"
+            uncached_archive_reports(0x50AC, incremental, jobs),
+            "incremental={incremental} jobs={jobs}"
         );
     }
 }
 
-/// The unsat-side acceleration contract (core-cache memoization, hyper-
-/// binary resolution, tiered clause DB): like preprocessing, these change
-/// how an answer is produced — a memoized core short-circuits the search,
-/// HBR binaries reshape propagation — but never the answer itself. The
-/// report stream must be byte-identical across the full core-cache × HBR
-/// × jobs matrix, compared against the everything-off sequential reference.
+/// The unsat-side contract: there is no memoized core and no hyper-binary
+/// resolution, so every unsat verdict comes out of the plain CDCL search
+/// of the instance that asked. The report stream must still be
+/// byte-identical at every pipeline width, compared against the
+/// sequential reference.
 #[test]
 fn core_cache_and_hbr_do_not_change_reports() {
-    let archive_cfg = ArchiveConfig {
-        packages: 6,
-        seed: 0xC0DE,
-        ..ArchiveConfig::default()
-    };
-    let files = generate_archive(&archive_cfg);
-    let tasks: Vec<ScanTask> = files
-        .iter()
-        .map(|f| ScanTask {
-            name: f.name.clone(),
-            source: ScanSource::Inline(f.source.clone()),
-        })
-        .collect();
-    let run = |core_cache: bool, hbr: bool, jobs: usize| {
-        let session = AnalysisSession::new(CheckerConfig {
-            threads: Some(1),
-            query_cache: false,
-            core_cache,
-            hbr,
-            ..CheckerConfig::default()
-        });
-        let mut reports = Vec::new();
-        ScanPipeline::new(&session, jobs).run(&tasks, &mut |event| {
-            if let ScanEvent::Report(r) = event {
-                reports.push(format!("{r:?}"));
-            }
-        });
-        reports
-    };
-
-    let reference = run(false, false, 1);
+    let reference = uncached_archive_reports(0xC0DE, true, 1);
     assert!(!reference.is_empty(), "the archive must produce reports");
-    for (core_cache, hbr, jobs) in [
-        (true, false, 1),
-        (false, true, 1),
-        (true, true, 1),
-        (true, false, 4),
-        (false, true, 4),
-        (true, true, 4),
-    ] {
+    for jobs in [2, 4] {
         assert_eq!(
             reference,
-            run(core_cache, hbr, jobs),
-            "core_cache={core_cache} hbr={hbr} jobs={jobs}"
+            uncached_archive_reports(0xC0DE, true, jobs),
+            "jobs={jobs}"
         );
     }
 }

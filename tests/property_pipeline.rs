@@ -25,19 +25,17 @@ proptest! {
         prop_assert!(!result.reports.is_empty(), "{ub}: {src}");
     }
 
-    /// Reports are identical across worker-thread counts and with the SAT
-    /// core's preprocessing layer on or off: every query here is decided
-    /// (no budget), so the two solver configurations must produce the same
-    /// verdicts and therefore byte-identical reports.
+    /// Reports are identical across worker-thread counts: every query here
+    /// is decided (no budget), so each width must produce the same verdicts
+    /// and therefore byte-identical reports.
     #[test]
-    fn reports_stable_across_threads_and_preprocessing(ub_idx in 0usize..10, n in 1usize..30) {
+    fn reports_stable_across_threads(ub_idx in 0usize..10, n in 1usize..30) {
         let ub = UB_COLUMNS[ub_idx];
         let src = bug_template(ub, "stable", n);
-        let render = |threads: usize, preprocess: bool| {
+        let render = |threads: usize| {
             let checker = Checker::with_config(CheckerConfig {
                 threads: Some(threads),
                 query_cache: false,
-                preprocess,
                 ..CheckerConfig::default()
             });
             let result = checker.check_source(&src, "prop.c").expect("template compiles");
@@ -47,11 +45,9 @@ proptest! {
                 .map(|r| format!("{r:?}"))
                 .collect::<Vec<_>>()
         };
-        let reference = render(1, true);
+        let reference = render(1);
         prop_assert!(!reference.is_empty(), "{ub}");
-        prop_assert_eq!(&reference, &render(4, true));
-        prop_assert_eq!(&reference, &render(1, false));
-        prop_assert_eq!(&reference, &render(4, false));
+        prop_assert_eq!(&reference, &render(4));
     }
 
     /// The solver agrees with concrete evaluation: for random constants, the
