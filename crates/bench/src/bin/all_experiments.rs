@@ -1,4 +1,6 @@
-//! Runs every experiment and prints all tables (used to fill EXPERIMENTS.md).
+//! Runs every experiment and prints all tables (the README's "Experiment
+//! binaries" section lists them; `docs/ARCHITECTURE.md` maps each to its
+//! paper section).
 fn main() {
     println!("{}", stack_bench::figure4().render());
     println!("{}", stack_bench::figure9().render());

@@ -9,7 +9,6 @@
 //! stack store merge <out> <in...> [--compact N] [--json]   # fold stores into one
 //! stack store inspect <file> [--json]            # header/generation/entry report
 //! stack store fsck <file> [--repair] [--json]    # check (and heal) a damaged store
-//! stack bench [--out <path>] [--fast]            # checker-scaling benchmark
 //! stack gen-archive <dir> [--packages N] [--seed S]
 //! stack demo  <pattern-id>                       # analyze a built-in paper example
 //! stack list                                     # list built-in examples
@@ -64,7 +63,7 @@ use stack_core::{
     ScanSource, ScanStore, ScanTask,
 };
 use stack_opt::{lowest_discarding_level, survey_compilers};
-use stack_solver::{Codec, DiskQueryStore, QueryCodec, RecordStore};
+use stack_solver::{Codec, DiskQueryStore, QueryCodec, RecordStore, StoreInspection};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -76,13 +75,12 @@ fn main() -> ExitCode {
         Some("check") => cmd_check(&args[1..]),
         Some("scan") => cmd_scan(&args[1..]),
         Some("store") => cmd_store(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("gen-archive") => cmd_gen_archive(&args[1..]),
         Some("demo") => cmd_demo(&args[1..]),
         Some("list") => cmd_list(),
         Some("survey") => cmd_survey(),
         _ => {
-            eprintln!("usage: stack <check|scan|store|bench|gen-archive|demo|list|survey> ...");
+            eprintln!("usage: stack <check|scan|store|gen-archive|demo|list|survey> ...");
             ExitCode::from(2)
         }
     }
@@ -1000,25 +998,55 @@ struct LastUsedJson {
     entries: u64,
 }
 
-/// `StoreInspection` in the shape `--json` emits.
-#[derive(Serialize)]
-struct InspectionJson {
-    kind: String,
-    format_version: u64,
-    encoding_revision: u64,
-    fingerprint_revision: Option<u64>,
-    generation: u64,
-    compatible: bool,
-    malformed: bool,
-    entries: u64,
-    /// Leading entries readable before the first bad line (equals
-    /// `entries` when the body is clean).
-    salvageable_prefix: u64,
-    /// Byte offset of the first undecodable line, when the body is damaged.
-    first_bad_offset: Option<u64>,
-    /// Body lines dropped by the salvage pass (0 when clean).
-    dropped_lines: u64,
-    last_used: Vec<LastUsedJson>,
+/// `StoreInspection` in the shape `--json` emits. Both store kinds share
+/// one key set: after `kind`, the `json_key` of every revision field either
+/// codec's header carries, in header order — `null` where this file's codec
+/// has no such field or its header lacks it. (Written by hand: the vendored
+/// serde derive has no map or flattening support.)
+struct InspectionJson<'a>(&'a StoreInspection);
+
+impl Serialize for InspectionJson<'_> {
+    fn serialize_json(&self, out: &mut String) {
+        use serde::ser::write_field;
+        let info = self.0;
+        let mut keys: Vec<&str> = Vec::new();
+        for revision in QueryCodec::REVISIONS.iter().chain(ScanCodec::REVISIONS) {
+            if !keys.contains(&revision.json_key) {
+                keys.push(revision.json_key);
+            }
+        }
+        out.push('{');
+        write_field(out, "kind", info.kind, true);
+        for key in keys {
+            let found = info
+                .revisions
+                .iter()
+                .find(|(revision, _)| revision.json_key == key)
+                .and_then(|(_, found)| *found);
+            write_field(out, key, &found, false);
+        }
+        write_field(out, "generation", &info.generation, false);
+        write_field(out, "compatible", &info.compatible, false);
+        write_field(out, "malformed", &info.malformed, false);
+        write_field(out, "entries", &info.entries, false);
+        // Leading entries readable before the first bad line (equals
+        // `entries` when the body is clean).
+        write_field(out, "salvageable_prefix", &info.salvageable_prefix, false);
+        // Byte offset of the first undecodable line, when the body is damaged.
+        write_field(out, "first_bad_offset", &info.first_bad_offset, false);
+        // Body lines dropped by the salvage pass (0 when clean).
+        write_field(out, "dropped_lines", &info.dropped_lines, false);
+        let last_used: Vec<LastUsedJson> = info
+            .last_used
+            .iter()
+            .map(|(&generation, &entries)| LastUsedJson {
+                generation,
+                entries,
+            })
+            .collect();
+        write_field(out, "last_used", &last_used, false);
+        out.push('}');
+    }
 }
 
 fn store_inspect<C: Codec>(path: &Path, json: bool) -> Result<ExitCode, String> {
@@ -1027,30 +1055,7 @@ fn store_inspect<C: Codec>(path: &Path, json: bool) -> Result<ExitCode, String> 
         println!("{}", info.render());
         return Ok(ExitCode::SUCCESS);
     }
-    print_json(
-        "inspection",
-        &InspectionJson {
-            kind: info.kind.to_string(),
-            format_version: info.format_version,
-            encoding_revision: info.encoding_revision,
-            fingerprint_revision: info.fingerprint_revision,
-            generation: info.generation,
-            compatible: info.compatible,
-            malformed: info.malformed,
-            entries: info.entries,
-            salvageable_prefix: info.salvageable_prefix,
-            first_bad_offset: info.first_bad_offset,
-            dropped_lines: info.dropped_lines,
-            last_used: info
-                .last_used
-                .iter()
-                .map(|(&generation, &entries)| LastUsedJson {
-                    generation,
-                    entries,
-                })
-                .collect(),
-        },
-    )
+    print_json("inspection", &InspectionJson(&info))
 }
 
 /// `store fsck` verdict in the shape `--json` emits.
@@ -1126,27 +1131,6 @@ fn store_fsck<C: Codec>(path: &Path, repair: bool, json: bool) -> Result<ExitCod
     } else {
         ExitCode::SUCCESS
     })
-}
-
-// ---- bench ------------------------------------------------------------------
-
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let out_path = match flag_value(args, "--out") {
-        Ok(path) => path.unwrap_or("BENCH_checker.json").to_string(),
-        Err(e) => return fail(&e),
-    };
-    let mut cfg = stack_bench::ScalingConfig::from_env();
-    if has_flag(args, "--fast") {
-        cfg = cfg.fast();
-    }
-    let results = stack_bench::checker_scaling(&cfg);
-    print!("{}", results.render());
-    let json = results.to_json();
-    if let Err(e) = write_output(Path::new(&out_path), &json) {
-        return fail(&e);
-    }
-    println!("  wrote {out_path}");
-    ExitCode::SUCCESS
 }
 
 // ---- gen-archive ------------------------------------------------------------

@@ -111,8 +111,7 @@ pub struct CheckStats {
     pub cache_misses: u64,
     /// Total SAT-core propagations across all queries (merged across worker
     /// threads). This is the deterministic currency solver budgets are
-    /// denominated in, and the `solver_speed` benchmark's measure of raw
-    /// solver work.
+    /// denominated in, and the measure of raw solver work.
     pub propagations: u64,
     /// Total SAT-core conflicts across all queries.
     pub conflicts: u64,

@@ -54,7 +54,7 @@
 use crate::fingerprint::{FunctionKey, FINGERPRINT_REVISION};
 use crate::report::{Algorithm, BugReport, UbSource};
 use crate::ubcond::UbKind;
-use stack_solver::{Codec, RecordLines, RecordStore, RecordWriter};
+use stack_solver::{Codec, RecordLines, RecordStore, RecordWriter, Revision};
 use std::fmt::Write as _;
 
 /// On-disk layout version of the scan-store file. Bump when the syntax
@@ -144,10 +144,25 @@ pub type ScanStore = RecordStore<ScanCodec>;
 impl Codec for ScanCodec {
     const KIND: &'static str = "scan";
     const HEADER_PREFIX: &'static str = "stack-scan-store";
-    const REVISIONS: &'static [(&'static str, u64)] = &[
-        ("v", SCAN_STORE_FORMAT_VERSION as u64),
-        ("enc", stack_solver::ENCODING_REVISION as u64),
-        ("fpr", FINGERPRINT_REVISION as u64),
+    const REVISIONS: &'static [Revision] = &[
+        Revision {
+            tag: "v",
+            value: SCAN_STORE_FORMAT_VERSION as u64,
+            label: "format version",
+            json_key: "format_version",
+        },
+        Revision {
+            tag: "enc",
+            value: stack_solver::ENCODING_REVISION as u64,
+            label: "encoding rev",
+            json_key: "encoding_revision",
+        },
+        Revision {
+            tag: "fpr",
+            value: FINGERPRINT_REVISION as u64,
+            label: "fingerprint rev",
+            json_key: "fingerprint_revision",
+        },
     ];
     type Key = FunctionKey;
     type Value = FunctionRecord;

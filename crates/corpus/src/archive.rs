@@ -273,7 +273,7 @@ pub struct FunctionChurn {
     pub edited_functions: usize,
     /// Files containing at least one edited function: a *module*-granular
     /// re-scan must re-analyze every function of these, which is the gap
-    /// the `function_rescan` bench section measures.
+    /// per-function replay keys close.
     pub edited_files: usize,
 }
 

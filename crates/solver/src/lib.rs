@@ -51,8 +51,8 @@ pub use incremental::{InstanceStats, SolverInstance};
 pub use lit::{LBool, Lit, Var};
 pub use model::Model;
 pub use record::{
-    crc32, Codec, MergeError, MergeStats, RecordLines, RecordStore, RecordWriter, SalvageReport,
-    StoreInspection,
+    crc32, Codec, MergeError, MergeStats, RecordLines, RecordStore, RecordWriter, Revision,
+    SalvageReport, StoreInspection,
 };
 pub use sat::{Budget, SatResult, SatSolver, SatStats};
 pub use solver::{free_variables, BvSolver, QueryResult, SolverStats};

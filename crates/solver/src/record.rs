@@ -85,6 +85,20 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+/// One revision field of a record-file header: written as `<tag><value>`,
+/// and shown by `inspect` under its label (text) and key (`--json`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Revision {
+    /// The field's tag in the header line (`v`, `enc`, ...).
+    pub tag: &'static str,
+    /// The revision this binary writes and accepts.
+    pub value: u64,
+    /// The field's label in the `inspect` render.
+    pub label: &'static str,
+    /// The field's key in the `store inspect --json` object.
+    pub json_key: &'static str,
+}
+
 /// The syntax of one kind of record file. A codec names the header and its
 /// revision fields, and writes and parses one record; [`RecordStore`] does
 /// everything else.
@@ -95,7 +109,7 @@ pub trait Codec {
     const HEADER_PREFIX: &'static str;
     /// The header's revision fields, in header order. All must match the
     /// running binary for a file to load or merge.
-    const REVISIONS: &'static [(&'static str, u64)];
+    const REVISIONS: &'static [Revision];
     /// Record key; records are written in key order.
     type Key: Clone + Eq + Hash + Ord + Debug + Send + Sync;
     /// Record value; merge insists duplicate keys carry equal values.
@@ -351,9 +365,7 @@ impl<C: Codec> RecordStore<C> {
         }
         Ok(StoreInspection {
             kind: C::KIND,
-            format_version: field("v").unwrap_or(0),
-            encoding_revision: field("enc").unwrap_or(0),
-            fingerprint_revision: field("fpr"),
+            revisions: C::REVISIONS.iter().map(|r| (*r, field(r.tag))).collect(),
             generation: field("gen").unwrap_or(0),
             compatible: check_header_compatible::<C>(first).is_ok(),
             malformed: !salvage.is_clean(),
@@ -411,7 +423,7 @@ impl<C: Codec> RecordStore<C> {
     /// generation number itself.
     fn header_stem() -> String {
         let mut out = C::HEADER_PREFIX.to_string();
-        for (tag, value) in C::REVISIONS {
+        for Revision { tag, value, .. } in C::REVISIONS {
             let _ = write!(out, " {tag}{value}");
         }
         out.push_str(" gen");
@@ -576,12 +588,12 @@ fn check_header_compatible<C: Codec>(line: &str) -> Result<(), String> {
     let prefix = C::HEADER_PREFIX;
     let fields = header_fields(line, prefix)
         .ok_or_else(|| format!("not a {prefix} file (header `{line}`)"))?;
-    for &(tag, want) in C::REVISIONS {
+    for &Revision { tag, value, .. } in C::REVISIONS {
         match fields.iter().find(|(t, _)| *t == tag).map(|(_, n)| *n) {
-            Some(n) if n == want => {}
+            Some(n) if n == value => {}
             Some(n) => {
                 return Err(format!(
-                    "{tag} revision mismatch: file has {tag}{n}, this binary expects {tag}{want}"
+                    "{tag} revision mismatch: file has {tag}{n}, this binary expects {tag}{value}"
                 ))
             }
             None => return Err(format!("header `{line}` lacks the {tag} field")),
@@ -834,12 +846,9 @@ impl std::error::Error for MergeError {}
 pub struct StoreInspection {
     /// The codec's store kind (`"query"` or `"scan"`).
     pub kind: &'static str,
-    /// The header's format version.
-    pub format_version: u64,
-    /// The header's encoding revision.
-    pub encoding_revision: u64,
-    /// The header's fingerprint revision (scan stores only).
-    pub fingerprint_revision: Option<u64>,
+    /// The codec's revision fields, in header order, each with the value
+    /// the file's header carries (`None` when the header lacks it).
+    pub revisions: Vec<(Revision, Option<u64>)>,
     /// The header's generation (0 for formats that predate generations).
     pub generation: u64,
     /// Whether every header field matches the running binary — i.e.
@@ -865,10 +874,9 @@ impl StoreInspection {
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{} store", self.kind);
-        let _ = writeln!(out, "  format version   {:>8}", self.format_version);
-        let _ = writeln!(out, "  encoding rev     {:>8}", self.encoding_revision);
-        if let Some(fpr) = self.fingerprint_revision {
-            let _ = writeln!(out, "  fingerprint rev  {:>8}", fpr);
+        for (revision, found) in &self.revisions {
+            let found = found.map_or_else(|| "-".to_string(), |n| n.to_string());
+            let _ = writeln!(out, "  {:<16} {found:>8}", revision.label);
         }
         let _ = writeln!(out, "  generation       {:>8}", self.generation);
         let _ = writeln!(

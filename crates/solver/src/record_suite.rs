@@ -23,7 +23,7 @@ macro_rules! record_store_suite {
         )*
 
         mod suite {
-            use $crate::{Codec, MergeError, RecordStore};
+            use $crate::{Codec, MergeError, RecordStore, Revision};
             use std::collections::BTreeMap;
             use std::path::PathBuf;
             use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,7 +68,7 @@ macro_rules! record_store_suite {
             /// `generation`, with revision field `bump.0` offset by `bump.1`.
             fn header_with<F: Fixture>(generation: u64, bump: (usize, i64)) -> String {
                 let mut out = F::HEADER_PREFIX.to_string();
-                for (i, (tag, value)) in F::REVISIONS.iter().enumerate() {
+                for (i, Revision { tag, value, .. }) in F::REVISIONS.iter().enumerate() {
                     let value = if i == bump.0 {
                         value.saturating_add_signed(bump.1)
                     } else {
@@ -87,7 +87,7 @@ macro_rules! record_store_suite {
             /// binary's, and the `tag<n>` text naming that field.
             fn future_header<F: Fixture>(generation: u64) -> (String, String) {
                 let last = F::REVISIONS.len() - 1;
-                let (tag, value) = F::REVISIONS[last];
+                let Revision { tag, value, .. } = F::REVISIONS[last];
                 (header_with::<F>(generation, (last, 1)), format!("{tag}{}", value + 1))
             }
 
@@ -424,7 +424,7 @@ macro_rules! record_store_suite {
                 let path = store_with::<F>("inspect", &[(0, 0), (1, 1)]);
                 let info = RecordStore::<F>::inspect(&path).unwrap();
                 assert_eq!(info.kind, F::KIND);
-                assert_eq!(info.format_version, F::REVISIONS[0].1);
+                assert_eq!(info.revisions[0], (F::REVISIONS[0], Some(F::REVISIONS[0].value)));
                 assert_eq!(info.generation, 1);
                 assert!(info.compatible);
                 assert!(!info.malformed);
@@ -437,14 +437,11 @@ macro_rules! record_store_suite {
                 for bumped in 0..F::REVISIONS.len() {
                     write(&path, &[&header_with::<F>(4, (bumped, 9))]);
                     let info = RecordStore::<F>::inspect(&path).unwrap();
-                    let found: Vec<u64> = [info.format_version, info.encoding_revision]
-                        .into_iter()
-                        .chain(info.fingerprint_revision)
-                        .collect();
+                    let found: Vec<u64> = info.revisions.iter().filter_map(|(_, n)| *n).collect();
                     let want: Vec<u64> = F::REVISIONS
                         .iter()
                         .enumerate()
-                        .map(|(i, (_, n))| if i == bumped { n + 9 } else { *n })
+                        .map(|(i, r)| if i == bumped { r.value + 9 } else { r.value })
                         .collect();
                     assert_eq!(found, want, "header field {bumped} reads back");
                     assert!(!info.compatible);

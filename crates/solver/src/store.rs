@@ -46,7 +46,7 @@
 
 use crate::cache::{CacheKey, CacheStats, QueryCache};
 use crate::model::Model;
-use crate::record::{Codec, RecordLines, RecordStore, RecordWriter};
+use crate::record::{Codec, RecordLines, RecordStore, RecordWriter, Revision};
 use crate::solver::QueryResult;
 use std::fmt::Write as _;
 
@@ -112,9 +112,19 @@ pub type DiskQueryStore = RecordStore<QueryCodec>;
 impl Codec for QueryCodec {
     const KIND: &'static str = "query";
     const HEADER_PREFIX: &'static str = "stack-query-store";
-    const REVISIONS: &'static [(&'static str, u64)] = &[
-        ("v", STORE_FORMAT_VERSION as u64),
-        ("enc", ENCODING_REVISION as u64),
+    const REVISIONS: &'static [Revision] = &[
+        Revision {
+            tag: "v",
+            value: STORE_FORMAT_VERSION as u64,
+            label: "format version",
+            json_key: "format_version",
+        },
+        Revision {
+            tag: "enc",
+            value: ENCODING_REVISION as u64,
+            label: "encoding rev",
+            json_key: "encoding_revision",
+        },
     ];
     type Key = CacheKey;
     type Value = QueryResult;
@@ -312,10 +322,11 @@ mod tests {
             DiskQueryStore::inspect(&path)
         };
         let info = inspect("stack-query-store v2 enc1 gen7").unwrap();
-        let fields = (info.format_version, info.encoding_revision, info.generation);
-        assert_eq!(fields, (2, 1, 7));
+        let found: Vec<_> = info.revisions.iter().map(|(_, n)| *n).collect();
+        assert_eq!((found, info.generation), (vec![Some(2), Some(1)], 7));
         assert!(!info.compatible);
-        assert_eq!(inspect("stack-query-store").unwrap().format_version, 0);
+        let bare = inspect("stack-query-store").unwrap();
+        assert!(bare.revisions.iter().all(|(_, n)| n.is_none()));
         for bad in ["stack-query-storev2", "other v2", "stack-query-store vv"] {
             assert!(inspect(bad).is_err(), "{bad}");
         }

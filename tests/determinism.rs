@@ -17,8 +17,9 @@ use stack_repro::solver::DiskQueryStore;
 use std::sync::Arc;
 
 /// Render every report of a run as a stable string (Debug covers function,
-/// file, line, algorithm, description, and the minimal UB set).
-fn run(threads: usize, query_cache: bool) -> Vec<String> {
+/// file, line, algorithm, description, and the minimal UB set), next to
+/// the run's total solver queries.
+fn run(threads: usize, query_cache: bool) -> (Vec<String>, u64) {
     let synth = SynthConfig {
         packages: 6,
         seed: 2024,
@@ -30,6 +31,7 @@ fn run(threads: usize, query_cache: bool) -> Vec<String> {
         ..CheckerConfig::default()
     });
     let mut out = Vec::new();
+    let mut queries = 0;
     for pkg in generate(&synth) {
         for file in &pkg.files {
             let result = checker
@@ -38,9 +40,10 @@ fn run(threads: usize, query_cache: bool) -> Vec<String> {
             for report in &result.reports {
                 out.push(format!("{report:?}"));
             }
+            queries += result.stats.queries;
         }
     }
-    out
+    (out, queries)
 }
 
 /// Origin-sorted copy (file, line, then the rest of the rendering).
@@ -51,30 +54,42 @@ fn sorted(mut reports: Vec<String>) -> Vec<String> {
 
 #[test]
 fn parallel_and_sequential_runs_agree() {
-    let sequential = run(1, true);
+    let (sequential, sequential_queries) = run(1, true);
     assert!(
         !sequential.is_empty(),
         "the synthetic corpus must produce reports"
     );
-    let parallel = run(4, true);
+    let (parallel, parallel_queries) = run(4, true);
     assert_eq!(
         sorted(sequential.clone()),
         sorted(parallel.clone()),
         "report sets must match"
     );
     assert_eq!(sequential, parallel, "report order must match too");
+    assert_eq!(sequential_queries, parallel_queries);
 }
 
 #[test]
 fn cache_does_not_change_reports() {
-    let cached = run(4, true);
-    let uncached = run(4, false);
+    let (cached, cached_queries) = run(4, true);
+    let (uncached, uncached_queries) = run(4, false);
     assert_eq!(sorted(cached), sorted(uncached));
+    // The cache answers queries; it never skips one.
+    assert_eq!(cached_queries, uncached_queries);
 }
 
+/// The SAT-core work counters of one scan: queries, propagations,
+/// conflicts, learned clauses. They are the deterministic currency of
+/// solver work, so they must not depend on the pipeline width.
+type SatCounters = [u64; 4];
+
 /// Scan a seeded six-package archive without the query cache, so every
-/// query reaches the solver, and render its report stream.
-fn uncached_archive_reports(seed: u64, incremental: bool, jobs: usize) -> Vec<String> {
+/// query reaches the solver: its report stream and SAT-core counters.
+fn uncached_archive_reports(
+    seed: u64,
+    incremental: bool,
+    jobs: usize,
+) -> (Vec<String>, SatCounters) {
     let archive_cfg = ArchiveConfig {
         packages: 6,
         seed,
@@ -99,7 +114,20 @@ fn uncached_archive_reports(seed: u64, incremental: bool, jobs: usize) -> Vec<St
             reports.push(format!("{r:?}"));
         }
     });
-    reports
+    let stats = session.stats();
+    // Without a query store nothing is a cache hit. Only incremental scans
+    // answer on persistent per-function instances, and those reuse the
+    // clauses they already loaded.
+    assert_eq!(stats.cache_hits, 0, "{stats:?}");
+    assert_eq!(stats.incremental_queries > 0, incremental, "{stats:?}");
+    assert_eq!(stats.reused_clauses > 0, incremental, "{stats:?}");
+    let counters = [
+        stats.queries,
+        stats.propagations,
+        stats.conflicts,
+        stats.learned_clauses,
+    ];
+    (reports, counters)
 }
 
 /// The solver-configuration contract: with every query decided (no
@@ -108,29 +136,44 @@ fn uncached_archive_reports(seed: u64, incremental: bool, jobs: usize) -> Vec<St
 /// a fresh solver per query — may change how much work it does, but never
 /// which verdicts come back. The report stream must be byte-identical
 /// across that choice at every pipeline width, compared against the
-/// incremental sequential reference.
+/// incremental sequential reference; the SAT-core counters of each
+/// granularity must be identical at every width.
 #[test]
 fn preprocessing_and_granularity_do_not_change_reports() {
     let reference = uncached_archive_reports(0x50AC, true, 1);
-    assert!(!reference.is_empty(), "the archive must produce reports");
-    for (incremental, jobs) in [(false, 1), (true, 4), (false, 4)] {
-        assert_eq!(
-            reference,
-            uncached_archive_reports(0x50AC, incremental, jobs),
-            "incremental={incremental} jobs={jobs}"
-        );
-    }
+    assert!(!reference.0.is_empty(), "the archive must produce reports");
+    let [_, propagations, conflicts, _] = reference.1;
+    assert!(
+        propagations > 0 && conflicts > 0,
+        "the solver must do real work"
+    );
+    assert_eq!(
+        reference,
+        uncached_archive_reports(0x50AC, true, 4),
+        "incremental jobs=4"
+    );
+    let fresh = uncached_archive_reports(0x50AC, false, 1);
+    assert_eq!(reference.0, fresh.0, "fresh solver per query, jobs=1");
+    assert_eq!(
+        reference.1[0], fresh.1[0],
+        "granularity never changes the queries"
+    );
+    assert_eq!(
+        fresh,
+        uncached_archive_reports(0x50AC, false, 4),
+        "fresh solver per query, jobs=4"
+    );
 }
 
 /// The unsat-side contract: there is no memoized core and no hyper-binary
 /// resolution, so every unsat verdict comes out of the plain CDCL search
-/// of the instance that asked. The report stream must still be
-/// byte-identical at every pipeline width, compared against the
-/// sequential reference.
+/// of the instance that asked. The report stream and the SAT-core
+/// counters must still be identical at every pipeline width, compared
+/// against the sequential reference.
 #[test]
 fn core_cache_and_hbr_do_not_change_reports() {
     let reference = uncached_archive_reports(0xC0DE, true, 1);
-    assert!(!reference.is_empty(), "the archive must produce reports");
+    assert!(!reference.0.is_empty(), "the archive must produce reports");
     for jobs in [2, 4] {
         assert_eq!(
             reference,

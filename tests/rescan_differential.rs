@@ -20,7 +20,8 @@ use stack_repro::core::{
     ScanPipeline, ScanSource, ScanStore, ScanTask,
 };
 use stack_repro::corpus::{
-    churn_functions_count, duplicate_files, generate_archive, ArchiveConfig, ArchiveFile,
+    churn_functions, churn_functions_count, duplicate_files, generate_archive, ArchiveConfig,
+    ArchiveFile,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -227,13 +228,30 @@ fn differential_matrix_covers_sharded_degraded_and_faulted_scans() {
             ..Scan::default()
         },
     );
-    let churn = churn_functions_count(&base, 0xBEEF, 2);
+    let churn = churn_functions(&base, 0xBEEF, 0.05);
     let diffs = diff_files(&base, &churn.files);
     let total = total_functions(&diffs);
     let edited = edited_functions(&diffs);
     assert!(edited > 0, "the matrix needs real churn");
     let (reference, reference_stats) = scan(&churn.files, &Scan::default());
     assert!(!reference.is_empty());
+
+    // Function-granular: after this 5% churn, a warm re-scan re-solves only
+    // the edited functions, at most a fifth of a cold scan's queries.
+    let (_, warm_stats) = scan(
+        &churn.files,
+        &Scan {
+            jobs: 4,
+            store: Some(&store_path),
+            ..Scan::default()
+        },
+    );
+    assert!(
+        warm_stats.queries > 0 && 5 * warm_stats.queries <= reference_stats.queries,
+        "re-scan {} vs cold {} queries",
+        warm_stats.queries,
+        reference_stats.queries
+    );
 
     // Sharded + merged: each shard cold-scans its content-keyed partition
     // of the churned population into its own store; the merged store must
