@@ -40,7 +40,7 @@ pub fn figure4() -> Figure4 {
     for profile in survey_compilers() {
         let mut cells = Vec::new();
         for src in &sources {
-            cells.push(lowest_discarding_level(src, "f", &profile));
+            cells.push(lowest_discarding_level(src, &profile));
         }
         rows.push((profile.name.to_string(), cells));
     }

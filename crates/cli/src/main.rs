@@ -15,9 +15,7 @@
 //! stack survey                                   # print the Figure 4 compiler matrix rows
 //! ```
 //!
-//! Shared analysis options: `--threads N` pins the parallel per-function
-//! driver to `N` workers (default: available parallelism; `1` is fully
-//! sequential), `--no-cache` disables the memoized query store,
+//! Shared analysis options: `--no-cache` disables the memoized query store,
 //! `--no-incremental` falls back to from-scratch solving per query, and
 //! `--include-macros` keeps macro-origin reports. `--cache-file <path>`
 //! backs the query store with a disk file: existing entries warm-start the
@@ -34,9 +32,9 @@
 //! reported as a bug, never cached — and its module is counted as
 //! degraded and never recorded in the scan cache.
 //!
-//! `scan`-only options: `--jobs N` runs `N` file-level workers (the outer
-//! level of the two-level pipeline; per-module `--threads` defaults to 1
-//! when `--jobs` > 1 so the levels don't oversubscribe), `--scan-cache
+//! `scan`-only options: `--jobs N` runs `N` file-level workers, each
+//! checking one module at a time (default: available parallelism; `1` is
+//! fully sequential; `check` is always sequential), `--scan-cache
 //! <path>` persists per-function results keyed by path-independent replay
 //! key so an edited module replays its unchanged functions and only the
 //! edited functions hit the solver (an unchanged module is skipped
@@ -59,8 +57,8 @@
 
 use serde::Serialize;
 use stack_core::{
-    AnalysisSession, CheckStats, Checker, CheckerConfig, ScanCodec, ScanEvent, ScanPipeline,
-    ScanSource, ScanStore, ScanTask,
+    AnalysisSession, Checker, CheckerConfig, ScanCodec, ScanEvent, ScanPipeline, ScanSource,
+    ScanStore, ScanTask,
 };
 use stack_opt::{lowest_discarding_level, survey_compilers};
 use stack_solver::{Codec, DiskQueryStore, QueryCodec, RecordStore, StoreInspection};
@@ -102,13 +100,7 @@ enum Mode {
 const SCAN_ONLY_FLAGS: [&str; 5] = ["--jobs", "--scan-cache", "--shard", "--synth", "--seed"];
 
 /// The value-taking flags both `check` and `scan` understand.
-const VALUE_FLAGS: [&str; 5] = [
-    "--threads",
-    "--query-budget",
-    "--cache-file",
-    "--out",
-    "--compact-store",
-];
+const VALUE_FLAGS: [&str; 4] = ["--query-budget", "--cache-file", "--out", "--compact-store"];
 
 /// The switches both `check` and `scan` understand.
 const SWITCH_FLAGS: [&str; 5] = [
@@ -124,7 +116,6 @@ const SWITCH_FLAGS: [&str; 5] = [
 struct AnalysisOpts {
     json: bool,
     include_macros: bool,
-    threads: Option<usize>,
     query_cache: bool,
     incremental: bool,
     /// Per-query propagation budget (`Some(0)` = unlimited).
@@ -132,8 +123,9 @@ struct AnalysisOpts {
     cache_file: Option<PathBuf>,
     out: Option<PathBuf>,
     quiet: bool,
-    /// `scan` only: file-level workers of the two-level pipeline.
-    jobs: usize,
+    /// `scan` only: file-level pipeline workers (`None`: available
+    /// parallelism).
+    jobs: Option<usize>,
     /// `scan` only: the persisted report cache behind incremental re-scan.
     scan_cache: Option<PathBuf>,
     /// `scan` only: compaction horizon for the `--cache-file` store.
@@ -157,10 +149,6 @@ impl AnalysisOpts {
             Some(0) => return Err("--jobs needs a positive integer".to_string()),
             other => other,
         };
-        let threads = match parse_flag_value::<usize>(args, "--threads")? {
-            Some(0) => return Err("--threads needs a positive integer".to_string()),
-            other => other,
-        };
         let cache_file = flag_value(args, "--cache-file")?.map(PathBuf::from);
         let compact_store = match parse_flag_value::<u64>(args, "--compact-store")? {
             Some(0) => return Err("--compact-store needs a positive integer".to_string()),
@@ -176,35 +164,23 @@ impl AnalysisOpts {
         Ok(AnalysisOpts {
             json: has_flag(args, "--json"),
             include_macros: has_flag(args, "--include-macros"),
-            threads,
             query_cache: !has_flag(args, "--no-cache"),
             incremental: !has_flag(args, "--no-incremental"),
             query_budget: parse_flag_value::<u64>(args, "--query-budget")?,
             cache_file,
             out: flag_value(args, "--out")?.map(PathBuf::from),
             quiet: has_flag(args, "--quiet"),
-            jobs: jobs.unwrap_or(1),
+            jobs,
             scan_cache: flag_value(args, "--scan-cache")?.map(PathBuf::from),
             compact_store,
             shard,
         })
     }
 
-    /// `scan` only: with an explicit file-level width and no explicit
-    /// per-module width, pin modules to one thread — the file level is the
-    /// scalable one on archives, and two self-sizing pools would
-    /// oversubscribe the machine. `check` has no file level, so it never
-    /// applies this.
-    fn pin_module_threads_for_jobs(&mut self) {
-        if self.jobs > 1 && self.threads.is_none() {
-            self.threads = Some(1);
-        }
-    }
-
     fn config(&self) -> CheckerConfig {
         CheckerConfig {
             report_compiler_generated: self.include_macros,
-            threads: self.threads,
+            threads: self.jobs,
             query_cache: self.query_cache,
             incremental: self.incremental,
             query_budget: self
@@ -404,7 +380,7 @@ fn save_store(store: &Arc<DiskQueryStore>, quiet: bool) -> Result<(), String> {
 fn cmd_check(args: &[String]) -> ExitCode {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         eprintln!(
-            "usage: stack check <file.mc> [--json] [--include-macros] [--threads N] \
+            "usage: stack check <file.mc> [--json] [--include-macros] \
              [--no-cache] [--no-incremental] [--query-budget N] [--cache-file F] [--out F]"
         );
         return ExitCode::from(2);
@@ -514,6 +490,7 @@ struct ScanSummary {
     store_hit_rate: f64,
     cache_file_loaded_entries: u64,
     scan_cache_loaded_entries: u64,
+    /// File-level pipeline workers the scan ran.
     jobs: usize,
     /// Which content-keyed shard this scan analyzed (1-based; `1` of `1`
     /// when unsharded).
@@ -523,11 +500,10 @@ struct ScanSummary {
 }
 
 fn cmd_scan(args: &[String]) -> ExitCode {
-    let mut opts = match AnalysisOpts::parse(args, Mode::Scan) {
+    let opts = match AnalysisOpts::parse(args, Mode::Scan) {
         Ok(opts) => opts,
         Err(e) => return fail(&e),
     };
-    opts.pin_module_threads_for_jobs();
     let mut tasks = match gather_scan_sources(args) {
         Ok(tasks) => tasks,
         Err(e) => return fail(&e),
@@ -556,7 +532,7 @@ fn cmd_scan(args: &[String]) -> ExitCode {
     let start = Instant::now();
     let mut reports = 0usize;
     let quiet = opts.quiet || opts.json;
-    let mut pipeline = ScanPipeline::new(&session, opts.jobs);
+    let mut pipeline = ScanPipeline::new(&session);
     if let Some(scan_store) = &scan_store {
         pipeline = pipeline.with_scan_store(Arc::clone(scan_store));
     }
@@ -595,7 +571,7 @@ fn cmd_scan(args: &[String]) -> ExitCode {
         store_hit_rate: stats.cache_hit_rate(),
         cache_file_loaded_entries: store.as_ref().map_or(0, |s| s.loaded_entries()),
         scan_cache_loaded_entries: scan_store.as_ref().map_or(0, |s| s.loaded_entries()),
-        jobs: opts.jobs,
+        jobs: stats.threads,
         shard_index: opts.shard.map_or(1, |(i, _)| i),
         shard_count: opts.shard.map_or(1, |(_, n)| n),
         elapsed_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
@@ -606,7 +582,7 @@ fn cmd_scan(args: &[String]) -> ExitCode {
             Err(e) => return fail(&format!("cannot serialize summary: {e}")),
         }
     } else {
-        render_scan_summary(&summary, &stats, scan_store.is_some())
+        render_scan_summary(&summary, scan_store.is_some())
     };
     match &opts.out {
         Some(out) => {
@@ -684,7 +660,7 @@ fn gather_scan_sources(args: &[String]) -> Result<Vec<ScanTask>, String> {
     let Some(root) = args.first().filter(|a| !a.starts_with("--")) else {
         return Err(
             "usage: stack scan <dir|manifest|file.mc> | --synth N  [--seed S] [--cache-file F] \
-             [--scan-cache F] [--jobs N] [--threads N] [--query-budget N] [--compact-store N] \
+             [--scan-cache F] [--jobs N] [--query-budget N] [--compact-store N] \
              [--shard i/n] [--no-cache] [--no-incremental] \
              [--include-macros] [--json] [--out F] [--quiet]"
                 .to_string(),
@@ -721,11 +697,7 @@ fn gather_scan_sources(args: &[String]) -> Result<Vec<ScanTask>, String> {
         .collect())
 }
 
-fn render_scan_summary(
-    summary: &ScanSummary,
-    stats: &CheckStats,
-    incremental_scan: bool,
-) -> String {
+fn render_scan_summary(summary: &ScanSummary, incremental_scan: bool) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "scan summary");
@@ -803,10 +775,8 @@ fn render_scan_summary(
     }
     let _ = writeln!(
         out,
-        "  elapsed         {:>8} ms  ({} job(s) x {} thread(s))",
-        summary.elapsed_ms,
-        summary.jobs,
-        stats.threads.max(1)
+        "  elapsed         {:>8} ms  ({} job(s))",
+        summary.elapsed_ms, summary.jobs
     );
     out.trim_end().to_string()
 }
@@ -1230,7 +1200,7 @@ fn cmd_survey() -> ExitCode {
     let src = "int f(int x) { if (x + 100 < x) return 1; return 0; }";
     println!("check: if (x + 100 < x)");
     for profile in survey_compilers() {
-        let level = lowest_discarding_level(src, "f", &profile);
+        let level = lowest_discarding_level(src, &profile);
         println!(
             "  {:<18} {}",
             profile.name,
@@ -1282,7 +1252,8 @@ mod tests {
     #[test]
     fn unknown_flags_are_rejected_by_both_commands() {
         for mode in [Mode::Check, Mode::Scan] {
-            for flag in ["--bogus-flag", "--no-hbr", "--no-cahce"] {
+            // `scan --jobs` is the only width; `--threads` is not a flag.
+            for flag in ["--bogus-flag", "--no-hbr", "--no-cahce", "--threads"] {
                 let err = AnalysisOpts::parse(&args(&["dir", flag]), mode)
                     .expect_err("an unknown flag must not be ignored");
                 assert!(err.contains(flag), "{err}");
@@ -1294,8 +1265,6 @@ mod tests {
                     "f.mc",
                     "--out",
                     "--json",
-                    "--threads",
-                    "2",
                     "--no-cache",
                     "--no-incremental",
                     "--include-macros",

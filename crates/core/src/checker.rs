@@ -20,7 +20,10 @@
 //! [`AnalysisSession`] is the long-lived layer (owning the query store, the
 //! configuration, and aggregate statistics across modules), and the
 //! [`Checker`] defined here is the historical one-shot wrapper over a
-//! session, kept as the convenient entry point for single-file use.
+//! session, kept as the convenient entry point for single-file use. Both
+//! are sequential: the only parallelism is the file-level
+//! [`ScanPipeline`](crate::scan::ScanPipeline), whose width is
+//! [`CheckerConfig::threads`].
 
 use crate::report::{Algorithm, BugReport};
 use crate::session::AnalysisSession;
@@ -41,24 +44,26 @@ pub struct CheckerConfig {
     /// Whether to keep reports whose unstable fragment was produced by a
     /// macro expansion or inlining (the paper suppresses them, §4.2).
     pub report_compiler_generated: bool,
-    /// Worker threads for [`Checker::check_module`]. `None` uses the
-    /// machine's available parallelism; `Some(1)` preserves the sequential
-    /// behavior exactly. Per-function checking (§4.4) makes every function's
-    /// queries independent, so the driver scales near-linearly.
+    /// File-level worker threads of a [`ScanPipeline`] over this
+    /// configuration (`stack scan --jobs N`). `None` uses the machine's
+    /// available parallelism; `Some(1)` scans one module at a time. A
+    /// session checks each module sequentially whatever this says, so it
+    /// never changes a single-module check.
+    ///
+    /// [`ScanPipeline`]: crate::scan::ScanPipeline
     pub threads: Option<usize>,
     /// Whether to memoize solver queries in a store shared across functions,
-    /// modules, and worker threads (structurally identical queries are
+    /// modules, and pipeline workers (structurally identical queries are
     /// answered without re-entering the SAT core). The store is in-memory by
     /// default; [`AnalysisSession::with_store`] swaps in a disk-backed one.
     pub query_cache: bool,
     /// Whether to solve incrementally: one persistent SAT instance per
-    /// function (per worker), with every UB-condition negation registered as
+    /// function, with every UB-condition negation registered as
     /// an assumption literal, so the Figure 8 minimal-UB-set loop toggles
     /// assumptions on an already-encoded formula instead of re-bit-blasting
     /// each near-identical query. Composes with `query_cache` (the store
     /// still answers structurally repeated queries across functions; the
-    /// instance absorbs the misses) and with `threads` (each worker's solver
-    /// owns its own instances).
+    /// instance absorbs the misses).
     pub incremental: bool,
 }
 
@@ -145,8 +150,9 @@ pub struct CheckStats {
     /// Always 0: the minimal-UB-set loop no longer skips queries. Kept
     /// because existing readers of these statistics still name the field.
     pub minimization_queries_saved: u64,
-    /// Worker threads the run actually used (maximum across modules for an
-    /// aggregate).
+    /// Pipeline workers the run used: 1 for one module, and for a session
+    /// aggregate the widest [`ScanPipeline`](crate::scan::ScanPipeline)
+    /// run over it.
     pub threads: usize,
     /// Wall-clock analysis time (summed across modules for an aggregate).
     pub elapsed: Duration,
@@ -272,9 +278,8 @@ impl Checker {
         self.session.check_source(src, file)
     }
 
-    /// Check every function of an (already optimized-for-analysis) module.
-    /// See [`AnalysisSession::check_module_streaming`] for the driver's
-    /// parallelism and determinism contract.
+    /// Check every function of an (already optimized-for-analysis) module,
+    /// one after another.
     pub fn check_module(&self, module: &Module) -> CheckResult {
         self.session.check_module(module)
     }
@@ -472,7 +477,7 @@ mod tests {
         assert!(result.stats.queries >= 2);
         assert_eq!(result.stats.timeouts, 0);
         assert!(result.stats.by_algorithm.values().sum::<usize>() >= 1);
-        assert!(result.stats.threads >= 1);
+        assert_eq!(result.stats.threads, 1);
     }
 
     #[test]
@@ -492,8 +497,8 @@ mod tests {
         assert!(merged.elapsed >= a.stats.elapsed.max(b.stats.elapsed));
     }
 
-    /// A module with several functions, mixing unstable and stable code, so
-    /// the parallel driver has real work to distribute.
+    /// A module with several functions, mixing unstable and stable code, two
+    /// of them structurally identical.
     const MULTI_FUNCTION_SRC: &str = "\
         int f0(struct s *tun) { long sk = tun->sk; if (!tun) return 1; return 0; }\n\
         int f1(int x) { if (x + 100 < x) return 1; return 0; }\n\
@@ -506,13 +511,12 @@ mod tests {
         int f4(int x) { if (!(1 << x)) return 1; return 0; }\n\
         int f5(int x) { if (x + 100 < x) return 1; return 0; }\n";
 
-    fn check_with(threads: Option<usize>, query_cache: bool) -> CheckResult {
-        check_with_inc(threads, query_cache, true)
+    fn check_with(query_cache: bool) -> CheckResult {
+        check_with_inc(query_cache, true)
     }
 
-    fn check_with_inc(threads: Option<usize>, query_cache: bool, incremental: bool) -> CheckResult {
+    fn check_with_inc(query_cache: bool, incremental: bool) -> CheckResult {
         Checker::with_config(CheckerConfig {
-            threads,
             query_cache,
             incremental,
             ..CheckerConfig::default()
@@ -522,24 +526,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_matches_sequential_run() {
-        let sequential = check_with(Some(1), true);
-        for threads in [2, 4] {
-            let parallel = check_with(Some(threads), true);
-            assert_eq!(
-                format!("{:?}", sequential.reports),
-                format!("{:?}", parallel.reports),
-                "threads={threads}"
-            );
-            assert_eq!(sequential.stats.queries, parallel.stats.queries);
-            assert_eq!(sequential.stats.timeouts, parallel.stats.timeouts);
-        }
-    }
-
-    #[test]
     fn cache_disabled_matches_cache_enabled() {
-        let cached = check_with(Some(1), true);
-        let uncached = check_with(Some(1), false);
+        let cached = check_with(true);
+        let uncached = check_with(false);
         assert_eq!(
             format!("{:?}", cached.reports),
             format!("{:?}", uncached.reports)
@@ -553,16 +542,16 @@ mod tests {
 
     #[test]
     fn incremental_matches_non_incremental() {
-        // Same reports and the same query count, with and without the cache,
-        // sequential and parallel: incremental solving changes how a query is
-        // decided, never what it decides.
-        let baseline = check_with_inc(Some(1), false, false);
-        for (threads, cache) in [(1, false), (1, true), (4, true)] {
-            let incremental = check_with_inc(Some(threads), cache, true);
+        // Same reports and the same query count, with and without the cache:
+        // incremental solving changes how a query is decided, never what it
+        // decides.
+        let baseline = check_with_inc(false, false);
+        for cache in [false, true] {
+            let incremental = check_with_inc(cache, true);
             assert_eq!(
                 format!("{:?}", baseline.reports),
                 format!("{:?}", incremental.reports),
-                "threads={threads} cache={cache}"
+                "cache={cache}"
             );
             assert_eq!(baseline.stats.queries, incremental.stats.queries);
         }
@@ -570,7 +559,7 @@ mod tests {
 
     #[test]
     fn solver_counters_surface_in_check_stats() {
-        let result = check_with_inc(Some(1), false, true);
+        let result = check_with_inc(false, true);
         assert!(result.stats.propagations > 0, "{:?}", result.stats);
         assert!(result.stats.conflicts > 0, "{:?}", result.stats);
         assert!(result.stats.learned_clauses > 0, "{:?}", result.stats);
@@ -583,7 +572,6 @@ mod tests {
         // the query must degrade to `Unknown`, be counted as a timeout and a
         // degraded module, and leave nothing behind in the query store.
         let checker = Checker::with_config(CheckerConfig {
-            threads: Some(1),
             query_budget: 1,
             ..CheckerConfig::default()
         });
@@ -608,7 +596,7 @@ mod tests {
 
     #[test]
     fn incremental_counters_accumulate() {
-        let incremental = check_with_inc(Some(1), false, true);
+        let incremental = check_with_inc(false, true);
         // Without the cache, every non-trivial query is decided on a
         // persistent instance; later queries against the same function must
         // reuse its clauses.
@@ -622,7 +610,7 @@ mod tests {
             "{:?}",
             incremental.stats
         );
-        let off = check_with_inc(Some(1), false, false);
+        let off = check_with_inc(false, false);
         assert_eq!(off.stats.incremental_queries, 0);
         assert_eq!(off.stats.reused_clauses, 0);
     }

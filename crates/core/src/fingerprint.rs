@@ -45,10 +45,10 @@
 //!   queries differently, so every key of the old revision dies;
 //! * the semantics-relevant [`CheckerConfig`] knobs (`query_budget`,
 //!   `report_compiler_generated`) — they change which reports a function
-//!   yields. Pure performance knobs (`threads`, `query_cache`,
-//!   `incremental`) deliberately do **not** participate: they change how a
-//!   result is computed, never what it is (see the determinism contract in
-//!   `session.rs`).
+//!   yields. Pure performance knobs deliberately do **not** participate:
+//!   `threads` is only the scan pipeline's file-level width, and
+//!   `query_cache` and `incremental` change how a verdict is computed,
+//!   never what it is (see the determinism contract in `scan.rs`).
 //!
 //! One sharp edge of the *module* fingerprint is documented rather than
 //! fought: report line numbers come from instruction origins, which the

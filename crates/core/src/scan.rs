@@ -1,24 +1,30 @@
 //! The file-parallel scan pipeline: the archive-scale driver above
-//! [`AnalysisSession`].
+//! [`AnalysisSession`], and the only scheduler in the checker.
 //!
-//! An archive scan has two levels of available parallelism: *within* a
-//! module (the per-function worker pool of
-//! [`AnalysisSession::check_module_streaming`]) and *across* modules. The
-//! session exploits the first; [`ScanPipeline`] adds the second — `jobs`
-//! scoped worker threads draw file indices from a shared atomic counter
-//! (the same dynamic self-scheduling the per-function driver uses), so a
-//! worker that drew cheap files steals the remaining work of slower ones.
-//! Both levels compose: each file-level worker drives the shared session,
-//! whose per-module thread knob still applies (the CLI defaults it to 1
-//! when `--jobs` > 1 so the two levels don't oversubscribe).
+//! STACK checks every function on its own (§4.4), so an archive scan
+//! could run in parallel within a module or across modules. It does the
+//! latter only: [`ScanPipeline`] runs [`CheckerConfig::threads`] scoped
+//! worker threads (`None`: the machine's available parallelism; clamped to
+//! the task count) that draw file indices from a shared atomic counter, so
+//! a worker that drew cheap files steals the remaining work of slower
+//! ones. Each worker drives the shared, sequential session one whole
+//! module at a time. The width the run used is recorded as
+//! [`CheckStats::threads`] in the session aggregate.
 //!
 //! **Determinism.** Workers finish out of order, but results are emitted in
 //! task order through a small reorder buffer: a finishing worker parks its
 //! result and flushes every consecutive ready result from the head. The
 //! event stream — reports, failures — is therefore byte-identical to a
-//! sequential scan's regardless of `jobs` or scheduling, and the buffer
+//! sequential scan's regardless of width or scheduling, and the buffer
 //! holds only the out-of-order window, preserving the scan's
-//! bounded-memory property.
+//! bounded-memory property. One caveat concerns queries that exhaust the
+//! per-query budget: a decided answer is a fact whichever module's query
+//! store lookup supplied it, but in incremental mode a function's solver
+//! instance only encodes the queries the shared store did not answer, and
+//! at width > 1 which ones those are depends on which modules ran first.
+//! Budget-boundary `Unknown` outcomes — and the reports they suppress —
+//! can then vary with timing. Timeout-free scans, and every scan with
+//! `incremental: false`, are byte-identical at every width.
 //!
 //! **Incremental re-scan.** With a [`ScanStore`] attached, every function
 //! of a compiled module is keyed
@@ -48,7 +54,9 @@
 //! returned), and never persisted as a query answer (the unwound query
 //! never returned one). Because failures are emitted through the same
 //! reorder buffer as reports, a panicking module produces the identical
-//! event stream at every `jobs` width.
+//! event stream at every width.
+//!
+//! [`CheckerConfig::threads`]: crate::checker::CheckerConfig::threads
 
 use crate::checker::CheckStats;
 use crate::fingerprint::function_replay_key;
@@ -110,7 +118,6 @@ pub struct ScanOutcome {
 pub struct ScanPipeline<'s> {
     session: &'s AnalysisSession,
     scan_store: Option<Arc<ScanStore>>,
-    jobs: usize,
     /// Fault injection: panic while analyzing any module whose name
     /// contains this fragment (tests of the containment boundary).
     panic_on: Option<String>,
@@ -132,13 +139,12 @@ enum TaskResult {
 }
 
 impl<'s> ScanPipeline<'s> {
-    /// A pipeline over `session` with `jobs` file-level workers (clamped to
-    /// at least 1).
-    pub fn new(session: &'s AnalysisSession, jobs: usize) -> ScanPipeline<'s> {
+    /// A pipeline over `session`, as wide as the session's
+    /// [`threads`](crate::checker::CheckerConfig::threads) setting.
+    pub fn new(session: &'s AnalysisSession) -> ScanPipeline<'s> {
         ScanPipeline {
             session,
             scan_store: None,
-            jobs: jobs.max(1),
             panic_on: None,
         }
     }
@@ -174,7 +180,21 @@ impl<'s> ScanPipeline<'s> {
             sink,
         });
         let next_task = AtomicUsize::new(0);
-        let workers = self.jobs.min(tasks.len()).max(1);
+        let workers = self
+            .session
+            .config()
+            .threads
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
+            .min(tasks.len())
+            .max(1);
+        self.session.absorb_stats(&CheckStats {
+            threads: workers,
+            ..CheckStats::default()
+        });
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
@@ -395,6 +415,14 @@ mod tests {
     use crate::checker::CheckerConfig;
     use std::sync::atomic::AtomicU64;
 
+    /// The default configuration at pipeline width `jobs`.
+    fn width(jobs: usize) -> CheckerConfig {
+        CheckerConfig {
+            threads: Some(jobs),
+            ..CheckerConfig::default()
+        }
+    }
+
     fn temp_path(tag: &str) -> PathBuf {
         static UNIQUE: AtomicU64 = AtomicU64::new(0);
         std::env::temp_dir().join(format!(
@@ -425,38 +453,49 @@ mod tests {
         out
     }
 
-    fn events_to_strings(
-        session: &AnalysisSession,
-        jobs: usize,
-        tasks: &[ScanTask],
-    ) -> Vec<String> {
+    fn events_to_strings(jobs: usize, tasks: &[ScanTask]) -> Vec<String> {
+        let session = AnalysisSession::new(width(jobs));
         let mut events = Vec::new();
-        ScanPipeline::new(session, jobs).run(tasks, &mut |e| events.push(format!("{e:?}")));
+        ScanPipeline::new(&session).run(tasks, &mut |e| events.push(format!("{e:?}")));
         events
     }
 
     #[test]
     fn parallel_jobs_emit_the_sequential_event_stream() {
         let tasks = tasks();
-        let sequential = events_to_strings(&AnalysisSession::default(), 1, &tasks);
+        let sequential = events_to_strings(1, &tasks);
         assert!(sequential.iter().any(|e| e.starts_with("Report")));
         assert!(sequential.iter().any(|e| e.starts_with("Failure")));
         for jobs in [2, 4, 8] {
-            let parallel = events_to_strings(&AnalysisSession::default(), jobs, &tasks);
+            let parallel = events_to_strings(jobs, &tasks);
             assert_eq!(sequential, parallel, "jobs={jobs}");
         }
+    }
+
+    #[test]
+    fn width_comes_from_the_config_and_is_clamped_to_the_task_count() {
+        let tasks = tasks();
+        for (jobs, used) in [(1, 1), (2, 2), (64, tasks.len())] {
+            let session = AnalysisSession::new(width(jobs));
+            ScanPipeline::new(&session).run(&tasks, &mut |_| {});
+            assert_eq!(session.stats().threads, used, "jobs={jobs}");
+        }
+        // `None` means the machine's parallelism, still clamped.
+        let session = AnalysisSession::default();
+        ScanPipeline::new(&session).run(&tasks[..1], &mut |_| {});
+        assert_eq!(session.stats().threads, 1);
     }
 
     #[test]
     fn rescan_with_scan_store_skips_every_module_and_replays_reports() {
         let path = temp_path("rescan");
         let tasks = tasks();
-        let config = CheckerConfig::default();
+        let config = width(2);
 
         let store = Arc::new(ScanStore::open(&path).unwrap());
         let cold_session = AnalysisSession::new(config);
         let mut cold = Vec::new();
-        let outcome = ScanPipeline::new(&cold_session, 2)
+        let outcome = ScanPipeline::new(&cold_session)
             .with_scan_store(store.clone())
             .run(&tasks, &mut |e| cold.push(format!("{e:?}")));
         assert_eq!(outcome.modules_skipped, 0);
@@ -467,7 +506,7 @@ mod tests {
         let rescan_store = Arc::new(ScanStore::open(&path).unwrap());
         let warm_session = AnalysisSession::new(config);
         let mut warm = Vec::new();
-        let outcome = ScanPipeline::new(&warm_session, 2)
+        let outcome = ScanPipeline::new(&warm_session)
             .with_scan_store(rescan_store)
             .run(&tasks, &mut |e| warm.push(format!("{e:?}")));
         assert_eq!(cold, warm, "replayed stream must be byte-identical");
@@ -490,7 +529,7 @@ mod tests {
     #[test]
     fn changed_modules_miss_and_reanalyze() {
         let path = temp_path("changed");
-        let config = CheckerConfig::default();
+        let config = width(1);
         let store = Arc::new(ScanStore::open(&path).unwrap());
         let before = vec![ScanTask {
             name: "m.c".to_string(),
@@ -499,7 +538,7 @@ mod tests {
             ),
         }];
         let session = AnalysisSession::new(config);
-        ScanPipeline::new(&session, 1)
+        ScanPipeline::new(&session)
             .with_scan_store(store.clone())
             .run(&before, &mut |_| {});
         store.save().unwrap();
@@ -513,7 +552,7 @@ mod tests {
         };
         let store2 = Arc::new(ScanStore::open(&path).unwrap());
         let session2 = AnalysisSession::new(config);
-        let outcome = ScanPipeline::new(&session2, 1)
+        let outcome = ScanPipeline::new(&session2)
             .with_scan_store(store2.clone())
             .run(
                 &edited("int f(int x) { if (x + 2 < x) return 1; return 0; }\n"),
@@ -521,7 +560,7 @@ mod tests {
             );
         assert_eq!(outcome.modules_skipped, 0);
         assert_eq!(outcome.functions_skipped, 0);
-        let outcome = ScanPipeline::new(&session2, 1).with_scan_store(store2).run(
+        let outcome = ScanPipeline::new(&session2).with_scan_store(store2).run(
             &edited("int f(int x) {  /* note */ if (x + 1 < x) return 1; return 0; }\n"),
             &mut |_| {},
         );
@@ -533,7 +572,7 @@ mod tests {
     #[test]
     fn edited_function_reanalyzes_while_siblings_replay() {
         let path = temp_path("partial");
-        let config = CheckerConfig::default();
+        let config = width(1);
         let src = |k: u32| {
             format!(
                 "int f(int x) {{ if (x + {k} < x) return 1; return 0; }}\n\
@@ -550,7 +589,7 @@ mod tests {
         let store = Arc::new(ScanStore::open(&path).unwrap());
         let session = AnalysisSession::new(config);
         let mut cold = Vec::new();
-        ScanPipeline::new(&session, 1)
+        ScanPipeline::new(&session)
             .with_scan_store(store.clone())
             .run(&task(src(1)), &mut |e| cold.push(format!("{e:?}")));
         store.save().unwrap();
@@ -560,12 +599,12 @@ mod tests {
         // edited source.
         let cold_session = AnalysisSession::new(config);
         let mut reference = Vec::new();
-        ScanPipeline::new(&cold_session, 1)
+        ScanPipeline::new(&cold_session)
             .run(&task(src(2)), &mut |e| reference.push(format!("{e:?}")));
         let store2 = Arc::new(ScanStore::open(&path).unwrap());
         let warm_session = AnalysisSession::new(config);
         let mut warm = Vec::new();
-        let outcome = ScanPipeline::new(&warm_session, 1)
+        let outcome = ScanPipeline::new(&warm_session)
             .with_scan_store(store2.clone())
             .run(&task(src(2)), &mut |e| warm.push(format!("{e:?}")));
         assert_eq!(reference, warm);
@@ -584,7 +623,7 @@ mod tests {
         store2.save().unwrap();
         let store3 = Arc::new(ScanStore::open(&path).unwrap());
         let session3 = AnalysisSession::new(config);
-        let outcome = ScanPipeline::new(&session3, 1)
+        let outcome = ScanPipeline::new(&session3)
             .with_scan_store(store3)
             .run(&task(src(2)), &mut |_| {});
         assert_eq!(outcome.modules_skipped, 1);
@@ -595,14 +634,14 @@ mod tests {
     #[test]
     fn duplicate_files_share_one_analysis() {
         let path = temp_path("dedup");
-        let config = CheckerConfig::default();
+        let config = width(1);
         let src = "int f(int x) { if (x + 7 < x) return 1; return 0; }\n";
         let single = vec![ScanTask {
             name: "a/vendored.c".to_string(),
             source: ScanSource::Inline(src.to_string()),
         }];
         let cold_session = AnalysisSession::new(config);
-        ScanPipeline::new(&cold_session, 1).run(&single, &mut |_| {});
+        ScanPipeline::new(&cold_session).run(&single, &mut |_| {});
         let one_file_queries = cold_session.stats().queries;
         assert!(one_file_queries > 0);
 
@@ -618,7 +657,7 @@ mod tests {
         let store = Arc::new(ScanStore::open(&path).unwrap());
         let session = AnalysisSession::new(config);
         let mut events = Vec::new();
-        let outcome = ScanPipeline::new(&session, 1)
+        let outcome = ScanPipeline::new(&session)
             .with_scan_store(store.clone())
             .run(&both, &mut |e| events.push(e));
         assert_eq!(
@@ -657,11 +696,11 @@ mod tests {
         }];
         let config = CheckerConfig {
             query_budget: 1,
-            ..CheckerConfig::default()
+            ..width(1)
         };
         let store = Arc::new(ScanStore::open(&path).unwrap());
         let session = AnalysisSession::new(config);
-        ScanPipeline::new(&session, 1)
+        ScanPipeline::new(&session)
             .with_scan_store(store.clone())
             .run(&tasks, &mut |_| {});
         assert!(session.stats().timeouts > 0, "budget must actually bite");
@@ -676,7 +715,7 @@ mod tests {
         // fails to record).
         let store2 = Arc::new(ScanStore::open(&path).unwrap());
         let session2 = AnalysisSession::new(config);
-        let outcome = ScanPipeline::new(&session2, 1)
+        let outcome = ScanPipeline::new(&session2)
             .with_scan_store(store2.clone())
             .run(&tasks, &mut |_| {});
         assert_eq!(outcome.functions_skipped, 1);
@@ -691,9 +730,9 @@ mod tests {
         let path = temp_path("panic");
         let tasks = tasks();
         let store = Arc::new(ScanStore::open(&path).unwrap());
-        let session = AnalysisSession::default();
+        let session = AnalysisSession::new(width(2));
         let mut events = Vec::new();
-        let outcome = ScanPipeline::new(&session, 2)
+        let outcome = ScanPipeline::new(&session)
             .with_scan_store(store.clone())
             .with_injected_panic("mod3")
             .run(&tasks, &mut |e| events.push(format!("{e:?}")));
@@ -716,9 +755,9 @@ mod tests {
     fn panicking_module_emits_the_same_stream_at_every_jobs_width() {
         let tasks = tasks();
         let stream = |jobs: usize| {
-            let session = AnalysisSession::default();
+            let session = AnalysisSession::new(width(jobs));
             let mut events = Vec::new();
-            ScanPipeline::new(&session, jobs)
+            ScanPipeline::new(&session)
                 .with_injected_panic("mod2")
                 .run(&tasks, &mut |e| events.push(format!("{e:?}")));
             events
@@ -744,9 +783,9 @@ mod tests {
                 source: ScanSource::Inline("int f(int x) { return x; }\n".to_string()),
             },
         ];
-        let session = AnalysisSession::default();
+        let session = AnalysisSession::new(width(2));
         let mut events = Vec::new();
-        let outcome = ScanPipeline::new(&session, 2).run(&tasks, &mut |e| events.push(e));
+        let outcome = ScanPipeline::new(&session).run(&tasks, &mut |e| events.push(e));
         assert_eq!(outcome.failures, 1);
         assert_eq!(outcome.files, 2);
         assert!(matches!(

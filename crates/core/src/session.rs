@@ -20,6 +20,13 @@
 //!   thousands of files never holds more than one module's reports in
 //!   memory.
 //!
+//! A session is sequential: it checks a module's functions one after
+//! another on one solver and spawns no threads. It is shared by reference,
+//! so the file-level workers of [`ScanPipeline`](crate::scan::ScanPipeline)
+//! — the only scheduler — drive one session concurrently, one module per
+//! worker. [`CheckerConfig::threads`] is that pipeline's width; the session
+//! itself never reads it.
+//!
 //! The one-shot [`Checker`](crate::checker::Checker) is a thin wrapper over
 //! a session; existing call sites keep working unchanged.
 //!
@@ -30,11 +37,8 @@ use crate::encoder::FunctionEncoder;
 use crate::report::{origin_info, Algorithm, BugReport, UbSource};
 use crate::ubcond::{collect_ub_conditions, UbCondition};
 use stack_ir::{CmpPred, Function, InstKind, Module, Operand, Origin};
-use stack_solver::{
-    Budget, BvSolver, CacheStats, QueryCache, QueryResult, QueryStore, SolverStats, TermId,
-};
+use stack_solver::{Budget, BvSolver, CacheStats, QueryCache, QueryResult, QueryStore, TermId};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -107,7 +111,8 @@ impl AnalysisSession {
 
     /// Aggregate statistics over every module checked through this session.
     /// `elapsed` sums the per-module analysis times (not wall clock between
-    /// calls); `threads` is the maximum any module used.
+    /// calls); `threads` is the widest scan pipeline that ran over the
+    /// session (1 when only single modules were checked).
     pub fn stats(&self) -> CheckStats {
         self.aggregate
             .lock()
@@ -138,18 +143,6 @@ impl AnalysisSession {
         }
         solver.set_incremental(self.config.incremental);
         solver
-    }
-
-    /// Number of worker threads a module of `functions` functions will use.
-    fn resolve_threads(&self, functions: usize) -> usize {
-        self.config
-            .threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
-            .clamp(1, functions.max(1))
     }
 
     /// Compile a mini-C source string, run the analysis pre-pass, and check
@@ -186,19 +179,9 @@ impl AnalysisSession {
     /// handing each surviving report to `sink` and returning the module's
     /// statistics (also merged into the session aggregate). An archive scan
     /// that prints or counts reports as they appear never retains them.
-    ///
-    /// Functions are distributed over [`CheckerConfig::threads`] scoped
-    /// worker threads pulling from a shared atomic work index (dynamic
-    /// self-scheduling, so a thread that drew cheap functions steals the
-    /// remaining work of slower ones). Each worker owns a private solver —
-    /// and therefore private `TermPool`s via its per-function encoders —
-    /// while sharing the session-wide query store. Results are stitched back
-    /// in function order, so the report stream is identical to a sequential
-    /// run's regardless of thread count or scheduling. (On workloads where
-    /// queries hit the per-query budget, that guarantee additionally
-    /// requires `incremental: false`: an incremental instance's CNF depends
-    /// on which of its queries were answered by the shared store first, so
-    /// budget-boundary `Unknown` outcomes can vary with thread timing.)
+    /// Functions are checked in order on one solver. (What the shared
+    /// query store may change about the stream is stated in the
+    /// [`scan`](crate::scan) module docs.)
     pub fn check_module_streaming(
         &self,
         module: &Module,
@@ -248,25 +231,20 @@ impl AnalysisSession {
             "one select flag per function"
         );
         let indices: Vec<usize> = (0..functions.len()).filter(|&i| select[i]).collect();
-        let threads = self.resolve_threads(indices.len());
-        let (checks, solver_stats) = if threads <= 1 {
-            let mut solver = self.make_solver();
-            let checks: Vec<FunctionCheck> = indices
-                .iter()
-                .map(|&i| {
-                    let before = solver.stats().timeouts;
-                    let reports = self.check_function(&functions[i], &mut solver);
-                    FunctionCheck {
-                        index: i,
-                        reports,
-                        timeouts: solver.stats().timeouts - before,
-                    }
-                })
-                .collect();
-            (checks, solver.stats())
-        } else {
-            self.check_functions_parallel(functions, &indices, threads)
-        };
+        let mut solver = self.make_solver();
+        let checks: Vec<FunctionCheck> = indices
+            .iter()
+            .map(|&i| {
+                let before = solver.stats().timeouts;
+                let reports = self.check_function(&functions[i], &mut solver);
+                FunctionCheck {
+                    index: i,
+                    reports,
+                    timeouts: solver.stats().timeouts - before,
+                }
+            })
+            .collect();
+        let solver_stats = solver.stats();
         let stats = CheckStats {
             modules: 1,
             modules_skipped: 0,
@@ -290,7 +268,7 @@ impl AnalysisSession {
             model_cache_hits: 0,
             core_cache_hits: 0,
             minimization_queries_saved: 0,
-            threads,
+            threads: 1,
             elapsed: start.elapsed(),
             by_algorithm: HashMap::new(),
         };
@@ -320,85 +298,6 @@ impl AnalysisSession {
             *by_algorithm.entry(report.algorithm).or_insert(0) += 1;
             sink(report);
         }
-    }
-
-    /// The parallel driver: `threads` scoped workers draw positions in the
-    /// selected-index list from a shared counter and return their
-    /// [`FunctionCheck`]s plus their private solver's statistics, which are
-    /// merged field-by-field (so the aggregate equals what one sequential
-    /// solver would have counted). Per-function `timeouts` come from
-    /// snapshotting the worker solver's counter around each call.
-    ///
-    /// Each per-function check runs under `catch_unwind`, and a panicking
-    /// worker stops drawing work. After every worker has drained, the panic
-    /// attached to the *lowest* function index is re-raised — the same one
-    /// a sequential run would hit first — so the module-level containment
-    /// boundary in the scan pipeline observes an identical payload at any
-    /// thread count.
-    fn check_functions_parallel(
-        &self,
-        functions: &[Function],
-        indices: &[usize],
-        threads: usize,
-    ) -> (Vec<FunctionCheck>, SolverStats) {
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<FunctionCheck>> = Vec::new();
-        slots.resize_with(indices.len(), || None);
-        let mut solver_stats = SolverStats::default();
-        let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut solver = self.make_solver();
-                        let mut local: Vec<(usize, FunctionCheck)> = Vec::new();
-                        let mut panicked: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&i) = indices.get(k) else { break };
-                            let before = solver.stats().timeouts;
-                            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                self.check_function(&functions[i], &mut solver)
-                            })) {
-                                Ok(reports) => local.push((
-                                    k,
-                                    FunctionCheck {
-                                        index: i,
-                                        reports,
-                                        timeouts: solver.stats().timeouts - before,
-                                    },
-                                )),
-                                Err(payload) => {
-                                    panicked = Some((i, payload));
-                                    break;
-                                }
-                            }
-                        }
-                        (local, solver.stats(), panicked)
-                    })
-                })
-                .collect();
-            for worker in workers {
-                let (local, stats, panicked) = worker
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                solver_stats.merge(&stats);
-                for (k, check) in local {
-                    slots[k] = Some(check);
-                }
-                if let Some((i, payload)) = panicked {
-                    match &first_panic {
-                        Some((j, _)) if *j <= i => {}
-                        _ => first_panic = Some((i, payload)),
-                    }
-                }
-            }
-        });
-        if let Some((_, payload)) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
-        (slots.into_iter().flatten().collect(), solver_stats)
     }
 
     /// Check a single function.

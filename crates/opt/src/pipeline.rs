@@ -10,7 +10,7 @@
 use crate::profile::CompilerProfile;
 use crate::ub_rewrites::{OptEvent, UbRewrite};
 use crate::{dce, mem2reg, simplify, simplifycfg};
-use stack_ir::Module;
+use stack_ir::{Function, Module};
 
 /// Statistics from one pipeline run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -24,17 +24,39 @@ pub struct PipelineStats {
 /// Prepare a module for analysis: promote locals to SSA and run ordinary
 /// (UB-agnostic) cleanup. This corresponds to the "first phase" of the
 /// paper's two-phase scheme (§3.2): optimizations valid under C*.
+///
+/// Debug builds run the IR verifier after every pass and panic, naming the
+/// pass and the function, on the first malformed result.
 pub fn optimize_for_analysis(module: &mut Module) -> PipelineStats {
     let mut stats = PipelineStats::default();
     for func in module.functions_mut() {
         stats.promoted_allocas += mem2reg::run(func);
+        debug_verify("mem2reg", func);
         stats.simplified += simplify::run(func);
+        debug_verify("simplify", func);
         stats.folded_branches += simplifycfg::run(func);
+        debug_verify("simplifycfg", func);
         // Keep memory accesses: they carry the UB conditions the checker
         // inserts in the next stage.
         stats.removed_insts += dce::run_keeping_loads(func);
+        debug_verify("dce", func);
     }
     stats
+}
+
+/// Panic if `pass` left `func` malformed (debug builds only).
+fn debug_verify(pass: &str, func: &Function) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    if let Err(errors) = stack_ir::verify_function(func) {
+        let errors: Vec<&str> = errors.iter().map(|e| e.message.as_str()).collect();
+        panic!(
+            "IR verifier failed after `{pass}` on function `{}`: {}",
+            func.name,
+            errors.join("; ")
+        );
+    }
 }
 
 /// Apply a set of UB-exploiting rewrites to a whole module (after the
@@ -63,18 +85,11 @@ pub fn run_profile(module: &mut Module, profile: &CompilerProfile, level: u8) ->
 }
 
 /// For a single unstable-code example, find the lowest optimization level at
-/// which the profile discards (or rewrites) the check. Returns `None` if the
+/// which the profile discards (or rewrites) a check anywhere in `source`. Returns `None` if the
 /// check survives every level — the "–" entries of Figure 4.
-pub fn lowest_discarding_level(
-    source: &str,
-    function: &str,
-    profile: &CompilerProfile,
-) -> Option<u8> {
+pub fn lowest_discarding_level(source: &str, profile: &CompilerProfile) -> Option<u8> {
     for level in 0..=CompilerProfile::MAX_LEVEL {
         let mut module = stack_minic::compile(source, "survey.c").ok()?;
-        // Restrict to the function of interest, mirroring the paper's
-        // single-function test snippets.
-        let _ = function;
         let events = run_profile(&mut module, profile, level);
         if !events.is_empty() {
             return Some(level);
@@ -105,7 +120,7 @@ mod tests {
     #[test]
     fn aggressive_profile_discards_figure1_check() {
         let src = "int f(char *p) { if (p + 100 < p) return 1; return 0; }";
-        let level = lowest_discarding_level(src, "f", &most_aggressive());
+        let level = lowest_discarding_level(src, &most_aggressive());
         assert_eq!(level, Some(0));
     }
 
@@ -115,8 +130,8 @@ mod tests {
         let gcc295 = profiles.iter().find(|p| p.name == "gcc-2.95.3").unwrap();
         let ptr = "int f(char *p) { if (p + 100 < p) return 1; return 0; }";
         let signed_ = "int f(int x) { if (x + 100 < x) return 1; return 0; }";
-        assert_eq!(lowest_discarding_level(ptr, "f", gcc295), None);
-        assert_eq!(lowest_discarding_level(signed_, "f", gcc295), Some(1));
+        assert_eq!(lowest_discarding_level(ptr, gcc295), None);
+        assert_eq!(lowest_discarding_level(signed_, gcc295), Some(1));
     }
 
     #[test]
@@ -124,6 +139,6 @@ mod tests {
         let profiles = survey_compilers();
         let msvc = profiles.iter().find(|p| p.name == "msvc-11.0").unwrap();
         let src = "int f(int *p) { int v = *p; if (!p) return 1; return v; }";
-        assert_eq!(lowest_discarding_level(src, "f", msvc), Some(1));
+        assert_eq!(lowest_discarding_level(src, msvc), Some(1));
     }
 }

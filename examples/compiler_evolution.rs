@@ -10,8 +10,8 @@ fn main() {
     let signed_check = "int f(int x) { if (x + 100 < x) return 1; return 0; }";
     println!("check: if (x + 100 < x)   (signed overflow, §2.2 example 3)\n");
     for profile in survey_compilers() {
-        let level = lowest_discarding_level(signed_check, "f", &profile);
-        let with_flag = lowest_discarding_level(signed_check, "f", &with_fwrapv(&profile));
+        let level = lowest_discarding_level(signed_check, &profile);
+        let with_flag = lowest_discarding_level(signed_check, &with_fwrapv(&profile));
         println!(
             "  {:<18} discards at {:<4} with -fwrapv: {}",
             profile.name,

@@ -1,49 +1,52 @@
-//! Determinism of the parallel checker driver: analyzing the synthetic
-//! corpus with `threads = 4` must produce exactly the same bug reports as
-//! the sequential `threads = 1` run, with and without the query cache. The
-//! driver stitches per-function results back in function order, so even the
-//! raw report order must coincide; the assertions below compare origin-sorted
-//! sets first (the contract) and the raw order second (the implementation
-//! guarantee). The same contract extends across *processes*: a warm run
-//! that answers its queries from a disk-backed store must produce
-//! byte-identical reports to the cold run that populated it.
+//! Determinism of the scan pipeline, the checker's one scheduler: scanning
+//! the synthetic corpus four files at a time must produce exactly the same
+//! bug reports as a one-file-at-a-time scan, with and without the query
+//! cache. The pipeline emits results in task order through its reorder
+//! buffer, so even the raw report order must coincide; the assertions
+//! below compare origin-sorted sets first (the contract) and the raw order
+//! second (the implementation guarantee). The same contract covers the
+//! solver's granularity and SAT-core counters, a panicking module, sharded
+//! scans, and *processes*: a warm run that answers its queries from a
+//! disk-backed store must produce byte-identical reports to the cold run
+//! that populated it.
 
 use stack_repro::core::{
-    AnalysisSession, Checker, CheckerConfig, ScanEvent, ScanPipeline, ScanSource, ScanStore,
-    ScanTask,
+    AnalysisSession, CheckerConfig, ScanEvent, ScanPipeline, ScanSource, ScanStore, ScanTask,
 };
 use stack_repro::corpus::{churn_archive, generate, generate_archive, ArchiveConfig, SynthConfig};
 use stack_repro::solver::DiskQueryStore;
 use std::sync::Arc;
 
-/// Render every report of a run as a stable string (Debug covers function,
-/// file, line, algorithm, description, and the minimal UB set), next to
-/// the run's total solver queries.
-fn run(threads: usize, query_cache: bool) -> (Vec<String>, u64) {
+/// Scan the synthetic corpus `width` files at a time. Renders every report
+/// as a stable string (Debug covers function, file, line, algorithm,
+/// description, and the minimal UB set), next to the run's total solver
+/// queries.
+fn run(width: usize, query_cache: bool) -> (Vec<String>, u64) {
     let synth = SynthConfig {
         packages: 6,
         seed: 2024,
         ..SynthConfig::default()
     };
-    let checker = Checker::with_config(CheckerConfig {
-        threads: Some(threads),
+    let tasks: Vec<ScanTask> = generate(&synth)
+        .into_iter()
+        .flat_map(|pkg| pkg.files)
+        .map(|file| ScanTask {
+            name: file.name,
+            source: ScanSource::Inline(file.source),
+        })
+        .collect();
+    let session = AnalysisSession::new(CheckerConfig {
+        threads: Some(width),
         query_cache,
         ..CheckerConfig::default()
     });
     let mut out = Vec::new();
-    let mut queries = 0;
-    for pkg in generate(&synth) {
-        for file in &pkg.files {
-            let result = checker
-                .check_source(&file.source, &file.name)
-                .expect("synthetic files compile");
-            for report in &result.reports {
-                out.push(format!("{report:?}"));
-            }
-            queries += result.stats.queries;
-        }
-    }
-    (out, queries)
+    let outcome = ScanPipeline::new(&session).run(&tasks, &mut |event| match event {
+        ScanEvent::Report(r) => out.push(format!("{r:?}")),
+        ScanEvent::Failure { name, error } => panic!("{name} must compile: {error}"),
+    });
+    assert_eq!(outcome.failures, 0);
+    (out, session.stats().queries)
 }
 
 /// Origin-sorted copy (file, line, then the rest of the rendering).
@@ -103,13 +106,13 @@ fn uncached_archive_reports(
         })
         .collect();
     let session = AnalysisSession::new(CheckerConfig {
-        threads: Some(1),
+        threads: Some(jobs),
         query_cache: false,
         incremental,
         ..CheckerConfig::default()
     });
     let mut reports = Vec::new();
-    ScanPipeline::new(&session, jobs).run(&tasks, &mut |event| {
+    ScanPipeline::new(&session).run(&tasks, &mut |event| {
         if let ScanEvent::Report(r) = event {
             reports.push(format!("{r:?}"));
         }
@@ -130,16 +133,15 @@ fn uncached_archive_reports(
     (reports, counters)
 }
 
-/// The solver-configuration contract: with every query decided (no
-/// budget), the SAT core has no pre/inprocessing layer to switch, and the
-/// one granularity choice left — one incremental instance per function or
-/// a fresh solver per query — may change how much work it does, but never
-/// which verdicts come back. The report stream must be byte-identical
-/// across that choice at every pipeline width, compared against the
-/// incremental sequential reference; the SAT-core counters of each
-/// granularity must be identical at every width.
+/// The solver-granularity contract: with every query decided (no budget),
+/// one incremental instance per function and a fresh solver per query may
+/// do different amounts of work, but never return different verdicts. The
+/// report stream must be byte-identical across that choice at every
+/// pipeline width, compared against the incremental sequential reference,
+/// and so must the query count; each granularity's SAT-core counters must
+/// be identical at every width.
 #[test]
-fn preprocessing_and_granularity_do_not_change_reports() {
+fn solver_granularity_does_not_change_reports() {
     let reference = uncached_archive_reports(0x50AC, true, 1);
     assert!(!reference.0.is_empty(), "the archive must produce reports");
     let [_, propagations, conflicts, _] = reference.1;
@@ -165,13 +167,14 @@ fn preprocessing_and_granularity_do_not_change_reports() {
     );
 }
 
-/// The unsat-side contract: there is no memoized core and no hyper-binary
-/// resolution, so every unsat verdict comes out of the plain CDCL search
-/// of the instance that asked. The report stream and the SAT-core
-/// counters must still be identical at every pipeline width, compared
-/// against the sequential reference.
+/// The SAT-core work contract: every verdict comes out of the CDCL search
+/// of the instance that asked, and each module's instances see the same
+/// queries whichever worker checks it. So the report stream and the
+/// SAT-core counters (queries, propagations, conflicts, learned clauses)
+/// must be identical at every pipeline width, compared against the
+/// sequential reference.
 #[test]
-fn core_cache_and_hbr_do_not_change_reports() {
+fn sat_core_counters_do_not_depend_on_pipeline_width() {
     let reference = uncached_archive_reports(0xC0DE, true, 1);
     assert!(!reference.0.is_empty(), "the archive must produce reports");
     for jobs in [2, 4] {
@@ -192,13 +195,7 @@ fn archive_run(path: &std::path::Path) -> (Vec<String>, stack_repro::core::Check
         ..ArchiveConfig::default()
     };
     let store = Arc::new(DiskQueryStore::open(path).expect("open cache file"));
-    let session = AnalysisSession::with_store(
-        CheckerConfig {
-            threads: Some(4),
-            ..CheckerConfig::default()
-        },
-        store.clone() as _,
-    );
+    let session = AnalysisSession::with_store(CheckerConfig::default(), store.clone() as _);
     let mut reports = Vec::new();
     for file in generate_archive(&archive_cfg) {
         session
@@ -257,10 +254,10 @@ fn pipeline_run(
         })
         .collect();
     let session = AnalysisSession::new(CheckerConfig {
-        threads: Some(1),
+        threads: Some(jobs),
         ..CheckerConfig::default()
     });
-    let mut pipeline = ScanPipeline::new(&session, jobs);
+    let mut pipeline = ScanPipeline::new(&session);
     let store = scan_store.map(|p| Arc::new(ScanStore::open(p).expect("open scan store")));
     if let Some(store) = &store {
         pipeline = pipeline.with_scan_store(Arc::clone(store));
@@ -355,13 +352,13 @@ fn panicking_module_scan_is_deterministic_across_jobs_widths() {
             })
             .collect();
         let session = AnalysisSession::new(CheckerConfig {
-            threads: Some(1),
+            threads: Some(jobs),
             ..CheckerConfig::default()
         });
         // Panic while analyzing every file of package 3 (one fragment,
         // several matching modules, so containment is exercised more than
         // once per run).
-        let pipeline = ScanPipeline::new(&session, jobs).with_injected_panic("archive-0003");
+        let pipeline = ScanPipeline::new(&session).with_injected_panic("archive-0003");
         let mut events = Vec::new();
         pipeline.run(&tasks, &mut |event| {
             events.push(match event {

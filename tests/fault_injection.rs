@@ -63,7 +63,7 @@ fn scan(
 ) -> (Vec<String>, CheckStats) {
     let config = CheckerConfig {
         query_budget,
-        threads: Some(1),
+        threads: Some(jobs),
         ..CheckerConfig::default()
     };
     let disk = query_store.map(|p| Arc::new(DiskQueryStore::open(p).expect("open query store")));
@@ -71,7 +71,7 @@ fn scan(
         Some(store) => AnalysisSession::with_store(config, Arc::clone(store) as _),
         None => AnalysisSession::new(config),
     };
-    let mut pipeline = ScanPipeline::new(&session, jobs);
+    let mut pipeline = ScanPipeline::new(&session);
     let store = scan_store.map(|p| Arc::new(ScanStore::open(p).expect("open scan store")));
     if let Some(store) = &store {
         pipeline = pipeline.with_scan_store(Arc::clone(store));

@@ -4,7 +4,7 @@
 //! frontend must agree with concrete evaluation.
 
 use proptest::prelude::*;
-use stack_repro::core::{Checker, CheckerConfig};
+use stack_repro::core::Checker;
 use stack_repro::corpus::{bug_template, UB_COLUMNS};
 use stack_repro::solver::{BvSolver, QueryResult, TermPool};
 
@@ -23,31 +23,6 @@ proptest! {
         stack_repro::ir::verify_module(&module).unwrap();
         let result = Checker::new().check_module(&module);
         prop_assert!(!result.reports.is_empty(), "{ub}: {src}");
-    }
-
-    /// Reports are identical across worker-thread counts: every query here
-    /// is decided (no budget), so each width must produce the same verdicts
-    /// and therefore byte-identical reports.
-    #[test]
-    fn reports_stable_across_threads(ub_idx in 0usize..10, n in 1usize..30) {
-        let ub = UB_COLUMNS[ub_idx];
-        let src = bug_template(ub, "stable", n);
-        let render = |threads: usize| {
-            let checker = Checker::with_config(CheckerConfig {
-                threads: Some(threads),
-                query_cache: false,
-                ..CheckerConfig::default()
-            });
-            let result = checker.check_source(&src, "prop.c").expect("template compiles");
-            result
-                .reports
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect::<Vec<_>>()
-        };
-        let reference = render(1);
-        prop_assert!(!reference.is_empty(), "{ub}");
-        prop_assert_eq!(&reference, &render(4));
     }
 
     /// The solver agrees with concrete evaluation: for random constants, the

@@ -73,11 +73,11 @@ fn scan(files: &[ArchiveFile], opts: &Scan) -> (Vec<String>, CheckStats) {
         })
         .collect();
     let session = AnalysisSession::new(CheckerConfig {
-        threads: Some(1),
+        threads: Some(opts.jobs),
         query_budget: opts.query_budget,
         ..CheckerConfig::default()
     });
-    let mut pipeline = ScanPipeline::new(&session, opts.jobs);
+    let mut pipeline = ScanPipeline::new(&session);
     if let Some(fragment) = opts.injected_panic {
         pipeline = pipeline.with_injected_panic(fragment);
     }
