@@ -2,14 +2,14 @@
 //! column of Figure 16) and for the compiler-profile pipeline (Figure 4).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use stack_core::{Checker, CheckerConfig};
+use stack_core::{AnalysisSession, CheckerConfig};
 use stack_corpus::{
     generate, SynthConfig, FIG10_POSTGRES_DIVISION, FIG12_FFMPEG_BOUNDS, FIG2_TUN_NULL_CHECK,
 };
 use stack_opt::{most_aggressive, run_profile};
 
 fn checker_on_paper_examples(c: &mut Criterion) {
-    let checker = Checker::new();
+    let session = AnalysisSession::default();
     let mut group = c.benchmark_group("checker");
     for pattern in [
         FIG2_TUN_NULL_CHECK,
@@ -19,7 +19,7 @@ fn checker_on_paper_examples(c: &mut Criterion) {
         group.bench_function(pattern.id, |b| {
             b.iter(|| {
                 criterion::black_box(
-                    checker
+                    session
                         .check_source(pattern.source, &format!("{}.c", pattern.id))
                         .unwrap(),
                 )
@@ -50,14 +50,14 @@ fn checker_on_synthetic_population(c: &mut Criterion) {
     for (name, query_cache) in [("uncached", false), ("cached", true)] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let checker = Checker::with_config(CheckerConfig {
+                let session = AnalysisSession::new(CheckerConfig {
                     query_budget: 500_000,
                     query_cache,
                     ..CheckerConfig::default()
                 });
                 let mut reports = 0usize;
                 for module in &modules {
-                    reports += checker.check_module(module).reports.len();
+                    reports += session.check_module(module).reports.len();
                 }
                 criterion::black_box(reports)
             })

@@ -6,7 +6,7 @@
 //! the README's "Experiment binaries" section), and the figure table in
 //! `docs/ARCHITECTURE.md` maps each one to its paper section.
 
-use stack_core::{Algorithm, Checker, CheckerConfig, UbKind};
+use stack_core::{Algorithm, AnalysisSession, CheckerConfig, UbKind};
 use stack_corpus::{completeness_benchmark, figure9_corpus, generate, SynthConfig, UB_COLUMNS};
 use stack_opt::{lowest_discarding_level, survey_compilers};
 use std::collections::HashMap;
@@ -79,10 +79,10 @@ pub struct Figure9 {
 
 /// Regenerate Figure 9 from the per-system corpus.
 pub fn figure9() -> Figure9 {
-    let checker = Checker::new();
+    let session = AnalysisSession::default();
     let mut rows: Vec<(String, usize, HashMap<UbKind, usize>)> = Vec::new();
     for bug in figure9_corpus() {
-        let result = checker
+        let result = session
             .check_source(&bug.source, &bug.file)
             .expect("corpus programs must compile");
         let found = !result.reports.is_empty();
@@ -185,7 +185,7 @@ pub fn figure16(scale: usize) -> Vec<Figure16Row> {
             }
         }
         let build_time_ms = build_start.elapsed().as_millis();
-        let checker = Checker::with_config(CheckerConfig {
+        let session = AnalysisSession::new(CheckerConfig {
             query_budget: 500_000,
             ..CheckerConfig::default()
         });
@@ -193,7 +193,7 @@ pub fn figure16(scale: usize) -> Vec<Figure16Row> {
         let mut queries = 0u64;
         let mut timeouts = 0u64;
         for module in &modules {
-            let result = checker.check_module(module);
+            let result = session.check_module(module);
             queries += result.stats.queries;
             timeouts += result.stats.timeouts;
         }
@@ -246,7 +246,7 @@ pub fn prevalence(packages: usize, seed: u64) -> PrevalenceResult {
         ..SynthConfig::default()
     };
     let population = generate(&cfg);
-    let checker = Checker::new();
+    let session = AnalysisSession::default();
     let mut result = PrevalenceResult {
         packages: population.len(),
         packages_with_reports: 0,
@@ -260,7 +260,7 @@ pub fn prevalence(packages: usize, seed: u64) -> PrevalenceResult {
         let mut pkg_kinds = Vec::new();
         let mut any = false;
         for file in &pkg.files {
-            let check = checker
+            let check = session
                 .check_source(&file.source, &file.name)
                 .expect("synthetic files compile");
             for report in &check.reports {
@@ -350,14 +350,14 @@ pub struct PrecisionResult {
 
 /// Regenerate the §6.3 precision experiment shape.
 pub fn sec63_precision() -> Vec<PrecisionResult> {
-    let checker = Checker::new();
+    let session = AnalysisSession::default();
     let mut out = Vec::new();
     for system in ["Kerberos", "Postgres"] {
         let mut reports = 0usize;
         let mut urgent = 0usize;
         let mut time_bombs = 0usize;
         for bug in figure9_corpus().iter().filter(|b| b.system == system) {
-            let result = checker.check_source(&bug.source, &bug.file).unwrap();
+            let result = session.check_source(&bug.source, &bug.file).unwrap();
             for report in &result.reports {
                 reports += 1;
                 match stack_core::classify_source(&bug.source, &bug.file, report.line) {
@@ -386,13 +386,13 @@ pub struct CompletenessResult {
 
 /// Regenerate the §6.6 completeness experiment.
 pub fn sec66_completeness() -> CompletenessResult {
-    let checker = Checker::new();
+    let session = AnalysisSession::default();
     let mut details = Vec::new();
     let mut found = 0usize;
     let tests = completeness_benchmark();
     let expected_found = tests.iter().filter(|t| t.expected_found).count();
     for t in &tests {
-        let result = checker
+        let result = session
             .check_source(t.pattern.source, &format!("{}.c", t.pattern.id))
             .unwrap();
         let got = !result.reports.is_empty();

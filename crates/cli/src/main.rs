@@ -57,8 +57,8 @@
 
 use serde::Serialize;
 use stack_core::{
-    AnalysisSession, Checker, CheckerConfig, ScanCodec, ScanEvent, ScanPipeline, ScanSource,
-    ScanStore, ScanTask,
+    AnalysisSession, CheckerConfig, ScanCodec, ScanEvent, ScanPipeline, ScanSource, ScanStore,
+    ScanTask,
 };
 use stack_opt::{lowest_discarding_level, survey_compilers};
 use stack_solver::{Codec, DiskQueryStore, QueryCodec, RecordStore, StoreInspection};
@@ -448,6 +448,11 @@ fn cmd_check(args: &[String]) -> ExitCode {
 
 // ---- scan -------------------------------------------------------------------
 
+/// Fault injection from outside the process: `stack scan` makes the
+/// analysis of every module whose name contains this variable's (non-empty)
+/// value panic, exercising the pipeline's per-module containment.
+const PANIC_ENV: &str = "STACK_FAULTINJECT_PANIC";
+
 /// Machine-readable scan summary (`--json` / `--out`).
 #[derive(Serialize)]
 struct ScanSummary {
@@ -536,6 +541,9 @@ fn cmd_scan(args: &[String]) -> ExitCode {
     if let Some(scan_store) = &scan_store {
         pipeline = pipeline.with_scan_store(Arc::clone(scan_store));
     }
+    if let Some(fragment) = std::env::var(PANIC_ENV).ok().filter(|f| !f.is_empty()) {
+        pipeline = pipeline.with_injected_panic(fragment);
+    }
     let outcome = pipeline.run(&tasks, &mut |event| match event {
         ScanEvent::Report(report) => {
             reports += 1;
@@ -550,8 +558,8 @@ fn cmd_scan(args: &[String]) -> ExitCode {
     let summary = ScanSummary {
         files: outcome.files,
         failures: outcome.failures,
-        modules_skipped: outcome.modules_skipped,
-        functions_skipped: outcome.functions_skipped,
+        modules_skipped: stats.modules_skipped,
+        functions_skipped: stats.functions_skipped,
         functions: stats.functions,
         reports,
         queries: stats.queries,
@@ -1178,7 +1186,7 @@ fn cmd_demo(args: &[String]) -> ExitCode {
         "// {} ({})\n{}\n",
         pattern.id, pattern.paper_ref, pattern.source
     );
-    match Checker::new().check_source(pattern.source, &format!("{id}.c")) {
+    match AnalysisSession::default().check_source(pattern.source, &format!("{id}.c")) {
         Ok(result) => {
             for report in &result.reports {
                 print!("{report}");

@@ -16,23 +16,20 @@
 //! Each report carries the minimal set of UB conditions that makes the query
 //! unsatisfiable, computed with the greedy algorithm of Figure 8.
 //!
-//! The algorithms themselves live in [`crate::session`]: an
-//! [`AnalysisSession`] is the long-lived layer (owning the query store, the
-//! configuration, and aggregate statistics across modules), and the
-//! [`Checker`] defined here is the historical one-shot wrapper over a
-//! session, kept as the convenient entry point for single-file use. Both
-//! are sequential: the only parallelism is the file-level
-//! [`ScanPipeline`](crate::scan::ScanPipeline), whose width is
-//! [`CheckerConfig::threads`].
+//! This module holds the checker's configuration and result types. The
+//! algorithms themselves live in [`crate::session`]: an [`AnalysisSession`]
+//! owns the query store, the configuration, and aggregate statistics across
+//! modules, and checks one file or many. It is sequential: the only
+//! parallelism is the file-level [`ScanPipeline`](crate::scan::ScanPipeline),
+//! whose width is [`CheckerConfig::threads`].
+//!
+//! [`AnalysisSession`]: crate::session::AnalysisSession
 
 use crate::report::{Algorithm, BugReport};
-use crate::session::AnalysisSession;
-use stack_ir::{Function, Module};
-use stack_solver::{BvSolver, CacheStats};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
-/// Checker configuration.
+/// The checker's configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckerConfig {
     /// Per-query solver budget in propagations (the deterministic analogue of
@@ -56,6 +53,8 @@ pub struct CheckerConfig {
     /// modules, and pipeline workers (structurally identical queries are
     /// answered without re-entering the SAT core). The store is in-memory by
     /// default; [`AnalysisSession::with_store`] swaps in a disk-backed one.
+    ///
+    /// [`AnalysisSession::with_store`]: crate::session::AnalysisSession::with_store
     pub query_cache: bool,
     /// Whether to solve incrementally: one persistent SAT instance per
     /// function, with every UB-condition negation registered as
@@ -82,15 +81,16 @@ impl Default for CheckerConfig {
 /// Aggregate statistics of a checker run (drives the Figure 16 columns).
 /// Also the unit of [`AnalysisSession`]'s cross-module aggregate: see
 /// [`CheckStats::merge`].
+///
+/// [`AnalysisSession`]: crate::session::AnalysisSession
 #[derive(Clone, Debug, Default)]
 pub struct CheckStats {
-    /// Number of modules these statistics cover (1 for a single
-    /// `check_module` call; the number of modules checked so far for a
-    /// session aggregate).
+    /// Number of modules these statistics cover (1 for a single module; the
+    /// number of modules checked so far for a session aggregate).
     pub modules: usize,
-    /// Modules whose results were replayed from a persisted scan store
-    /// (fingerprint hit) instead of analyzed — the incremental re-scan
-    /// counter. Always ≤ `modules`; 0 outside scan-store-backed pipelines.
+    /// Modules every function of which was replayed from a persisted scan
+    /// store instead of analyzed — the incremental re-scan counter. Always
+    /// ≤ `modules`; 0 outside scan-store-backed pipelines.
     pub modules_skipped: usize,
     /// Number of functions covered (analyzed or replayed).
     pub functions: usize,
@@ -99,10 +99,10 @@ pub struct CheckStats {
     /// function-granular incremental re-scan counter. Always ≤ `functions`;
     /// 0 outside scan-store-backed pipelines.
     pub functions_skipped: usize,
-    /// Total solver queries issued (merged across worker threads).
+    /// Total solver queries issued.
     pub queries: u64,
     /// Degraded queries: queries that exhausted their propagation budget and
-    /// were answered `Unknown` (merged across worker threads). The checker
+    /// were answered `Unknown`. The checker
     /// treats an `Unknown` conservatively — never a report, never cached,
     /// never persisted.
     pub timeouts: u64,
@@ -114,9 +114,9 @@ pub struct CheckStats {
     pub cache_hits: u64,
     /// Queries that consulted the store and missed.
     pub cache_misses: u64,
-    /// Total SAT-core propagations across all queries (merged across worker
-    /// threads). This is the deterministic currency solver budgets are
-    /// denominated in, and the measure of raw solver work.
+    /// Total SAT-core propagations across all queries. This is the
+    /// deterministic currency solver budgets are denominated in, and the
+    /// measure of raw solver work.
     pub propagations: u64,
     /// Total SAT-core conflicts across all queries.
     pub conflicts: u64,
@@ -129,17 +129,17 @@ pub struct CheckStats {
     /// Sum of learn-time literal-block-distance values over all learned
     /// clauses; `lbd_sum / learned_clauses` is the average glue.
     pub lbd_sum: u64,
-    /// Queries decided by a persistent incremental solver instance (merged
-    /// across worker threads; 0 when `CheckerConfig::incremental` is off).
+    /// Queries decided by a persistent incremental solver instance (0 when
+    /// `CheckerConfig::incremental` is off).
     pub incremental_queries: u64,
     /// Clause slots reused by incremental queries instead of re-blasted
     /// (summed over queries; the clause-reuse counter of the solver layer).
     pub reused_clauses: u64,
-    /// Queries answered `Sat` (merged across worker threads). Together with
+    /// Queries answered `Sat`. Together with
     /// `unsat_queries`, `timeouts`, and the cache counters this is the
     /// per-scan verdict breakdown.
     pub sat_queries: u64,
-    /// Queries answered `Unsat` (merged across worker threads).
+    /// Queries answered `Unsat`.
     pub unsat_queries: u64,
     /// Always 0: the SAT core no longer has a model cache. Kept because
     /// existing readers of these statistics still name the field.
@@ -233,70 +233,16 @@ impl CheckResult {
     }
 }
 
-/// The one-shot checker: a thin wrapper over an [`AnalysisSession`].
-///
-/// One `Checker` owns one session — and therefore one query store: every
-/// [`check_module`] / [`check_source`] call through the same instance shares
-/// it, so repeated idioms are answered from memory across files and modules
-/// (the synthetic Debian population re-instantiates the same unstable
-/// patterns thousands of times). For archive-scale work — disk-backed
-/// stores, streaming reports, aggregate statistics — use the session
-/// directly.
-///
-/// [`check_module`]: Checker::check_module
-/// [`check_source`]: Checker::check_source
-#[derive(Debug, Default)]
-pub struct Checker {
-    session: AnalysisSession,
-}
-
-impl Checker {
-    /// A checker with the default configuration.
-    pub fn new() -> Checker {
-        Checker::default()
-    }
-
-    /// A checker with an explicit configuration.
-    pub fn with_config(config: CheckerConfig) -> Checker {
-        Checker {
-            session: AnalysisSession::new(config),
-        }
-    }
-
-    /// The underlying session.
-    pub fn session(&self) -> &AnalysisSession {
-        &self.session
-    }
-
-    /// Counters of the checker-owned query store (lifetime of this instance).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.session.store_stats()
-    }
-
-    /// Compile a mini-C source string, run the analysis pre-pass, and check it.
-    pub fn check_source(&self, src: &str, file: &str) -> Result<CheckResult, stack_minic::Diag> {
-        self.session.check_source(src, file)
-    }
-
-    /// Check every function of an (already optimized-for-analysis) module,
-    /// one after another.
-    pub fn check_module(&self, module: &Module) -> CheckResult {
-        self.session.check_module(module)
-    }
-
-    /// Check a single function.
-    pub fn check_function(&self, func: &Function, solver: &mut BvSolver) -> Vec<BugReport> {
-        self.session.check_function(func, solver)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::AnalysisSession;
     use crate::ubcond::UbKind;
 
     fn check(src: &str) -> CheckResult {
-        Checker::new().check_source(src, "test.c").unwrap()
+        AnalysisSession::default()
+            .check_source(src, "test.c")
+            .unwrap()
     }
 
     #[test]
@@ -386,7 +332,7 @@ mod tests {
             "macro-origin reports must be suppressed: {:?}",
             default_result.reports
         );
-        let permissive = Checker::with_config(CheckerConfig {
+        let permissive = AnalysisSession::new(CheckerConfig {
             report_compiler_generated: true,
             ..CheckerConfig::default()
         });
@@ -516,7 +462,7 @@ mod tests {
     }
 
     fn check_with_inc(query_cache: bool, incremental: bool) -> CheckResult {
-        Checker::with_config(CheckerConfig {
+        AnalysisSession::new(CheckerConfig {
             query_cache,
             incremental,
             ..CheckerConfig::default()
@@ -571,12 +517,12 @@ mod tests {
         // A one-propagation budget is exhausted early in the CDCL search:
         // the query must degrade to `Unknown`, be counted as a timeout and a
         // degraded module, and leave nothing behind in the query store.
-        let checker = Checker::with_config(CheckerConfig {
+        let session = AnalysisSession::new(CheckerConfig {
             query_budget: 1,
             ..CheckerConfig::default()
         });
         let src = "int f(int x, int y) { if (x * y + 1 < x * y) return 1; return 0; }";
-        let first = checker.check_source(src, "deg.c").unwrap();
+        let first = session.check_source(src, "deg.c").unwrap();
         assert!(first.stats.timeouts > 0, "{:?}", first.stats);
         assert_eq!(first.stats.degraded_modules, 1);
         assert!(
@@ -584,14 +530,14 @@ mod tests {
             "Unknown must never become a report"
         );
         assert_eq!(
-            checker.cache_stats().entries,
+            session.store_stats().entries,
             0,
             "degraded verdicts must never be persisted"
         );
         // Re-running reproduces the same degradation — nothing was cached.
-        let second = checker.check_source(src, "deg.c").unwrap();
+        let second = session.check_source(src, "deg.c").unwrap();
         assert_eq!(first.stats.timeouts, second.stats.timeouts);
-        assert_eq!(checker.cache_stats().hits, 0);
+        assert_eq!(session.store_stats().hits, 0);
     }
 
     #[test]
@@ -617,10 +563,10 @@ mod tests {
 
     #[test]
     fn cache_is_shared_across_check_calls() {
-        let checker = Checker::new();
+        let session = AnalysisSession::default();
         let src = "int f(int x) { if (x + 1 < x) return 1; return 0; }";
-        let first = checker.check_source(src, "a.c").unwrap();
-        let second = checker.check_source(src, "b.c").unwrap();
+        let first = session.check_source(src, "a.c").unwrap();
+        let second = session.check_source(src, "b.c").unwrap();
         assert_eq!(first.reports.len(), second.reports.len());
         // The second pass re-issues structurally identical queries, so every
         // decided query hits the cache built by the first pass.
@@ -631,7 +577,7 @@ mod tests {
             second.stats
         );
         assert!(second.stats.cache_hits > 0);
-        let cache = checker.cache_stats();
+        let cache = session.store_stats();
         assert_eq!(
             cache.hits + cache.misses,
             first.stats.cache_hits

@@ -1,4 +1,4 @@
-//! Canonical fingerprints: the "unchanged" test of incremental re-scan.
+//! Canonical keys: the "unchanged" test of incremental re-scan.
 //!
 //! The paper's flagship deployment (§6.5) re-scans the Debian archive as it
 //! evolves, and between runs almost nothing changes. Skipping unchanged
@@ -7,39 +7,34 @@
 //! changes the bytes without changing anything the checker could observe.
 //! Following the structural-operational-semantics tradition (a program's
 //! meaning is its derived transition structure, not its spelling), the
-//! keys hash the **verified, lowered IR** in its pool-independent canonical
-//! print instead:
+//! key hashes the **verified, lowered IR** in its pool-independent
+//! canonical print instead:
 //!
 //! * formatting, comments, and macro-expansion spelling vanish during
-//!   lexing/lowering, so cosmetic edits keep the keys stable;
+//!   lexing/lowering, so cosmetic edits that move no line keep the key
+//!   stable;
 //! * any instruction change — including a changed constant, type, or UB
-//!   condition carrier — changes the print and therefore the keys.
+//!   condition carrier — changes the print and therefore the key.
 //!
-//! Two granularities are derived from the same per-function digests:
+//! [`function_replay_key`] is that key, one per function: the
+//! [`ScanStore`](crate::ScanStore) is keyed on it, so an edited module
+//! replays the reports of its unchanged functions and only the edited
+//! functions hit the solver. Functions are keyed independently, so a module
+//! is unchanged exactly when the multiset of its functions' keys is. Two
+//! choices decide what the key sees:
 //!
-//! * [`module_fingerprint`] — the whole-module key (per-function digests
-//!   sorted before mixing, so moving a function within a file keeps the
-//!   fingerprint stable; the module *name* participates, so the same bytes
-//!   under another path fingerprint differently).
-//! * [`function_replay_key`] — the per-function key the
-//!   [`ScanStore`](crate::ScanStore) uses, so an edited module replays the
-//!   reports of its unchanged functions and only the edited functions hit
-//!   the solver. Two deliberate asymmetries against the module key:
+//! - the **path does not participate** — records are stored
+//!   path-normalized and rewritten to the scanning file on replay, so
+//!   identical vendored files across an archive share one analysis
+//!   (cross-path dedup);
+//! - the **origin lines and kinds do participate** (via
+//!   [`origin_signature`]: every instruction's source line and
+//!   macro/inline provenance, but never its file) — replayed reports
+//!   embed line numbers, so a function whose lines shifted must miss and
+//!   re-analyze rather than replay stale locations.
 //!
-//!   - the **path does not participate** — records are stored
-//!     path-normalized and rewritten to the scanning file on replay, so
-//!     identical vendored files across an archive share one analysis
-//!     (cross-path dedup);
-//!   - the **origin lines and kinds do participate** (via
-//!     [`origin_signature`]: every instruction's source line and
-//!     macro/inline provenance, but never its file) — replayed reports
-//!     embed line numbers, so a function whose lines shifted must miss and
-//!     re-analyze rather than replay stale locations. This closes, at
-//!     function granularity, the line-number sharp edge the module
-//!     fingerprint documents below.
-//!
-//! Two non-IR inputs are mixed into both keys, because cached *reports*
-//! are only replayable when they would be re-derived identically:
+//! Two non-IR inputs are mixed into the key, because cached *reports* are
+//! only replayable when they would be re-derived identically:
 //!
 //! * [`ENCODING_REVISION`] — a new encoder/solver revision may decide
 //!   queries differently, so every key of the old revision dies;
@@ -49,21 +44,10 @@
 //!   `threads` is only the scan pipeline's file-level width, and
 //!   `query_cache` and `incremental` change how a verdict is computed,
 //!   never what it is (see the determinism contract in `scan.rs`).
-//!
-//! One sharp edge of the *module* fingerprint is documented rather than
-//! fought: report line numbers come from instruction origins, which the
-//! canonical print excludes, so a comment-only edit that shifts later lines
-//! still keeps the module fingerprint — by design (reorder-invariance needs
-//! origin-free digests). The scan store no longer replays on the module
-//! fingerprint, so nothing stale can replay from it; the per-function key
-//! hashes origin lines precisely so its replays are always byte-exact.
 
 use crate::checker::CheckerConfig;
-use stack_ir::{Function, Module, OriginKind};
+use stack_ir::{Function, OriginKind};
 use stack_solver::ENCODING_REVISION;
-
-/// A canonical module fingerprint (128 bits).
-pub type ModuleFingerprint = u128;
 
 /// A per-function replay key (128 bits): what the scan store is keyed on.
 pub type FunctionKey = u128;
@@ -73,27 +57,6 @@ pub type FunctionKey = u128;
 /// persisted scan stores from older schemes self-invalidate. (2: the scan
 /// store moved from module fingerprints to per-function replay keys.)
 pub const FINGERPRINT_REVISION: u32 = 2;
-
-/// Fingerprint a lowered (and analysis-optimized) module under a
-/// configuration. See the module docs for exactly what participates.
-pub fn module_fingerprint(module: &Module, config: &CheckerConfig) -> ModuleFingerprint {
-    let mut digests: Vec<u128> = module.functions().iter().map(function_digest).collect();
-    // Sorting makes the fingerprint invariant under function reordering:
-    // functions are checked independently, so order affects only the order
-    // reports stream out in.
-    digests.sort_unstable();
-
-    let mut h = hash_bytes(module.name.as_bytes());
-    h = mix(h, u128::from(ENCODING_REVISION));
-    h = mix(h, u128::from(FINGERPRINT_REVISION));
-    h = mix(h, u128::from(config.query_budget));
-    h = mix(h, u128::from(config.report_compiler_generated));
-    h = mix(h, digests.len() as u128);
-    for d in digests {
-        h = mix(h, d);
-    }
-    h
-}
 
 /// The structural digest of one function: a stable hash of its canonical
 /// print, which excludes origins entirely — the same body at any path, or
@@ -140,26 +103,12 @@ pub fn function_replay_key(func: &Function, config: &CheckerConfig) -> FunctionK
     h
 }
 
-/// Fingerprint a mini-C source string: compile, run the analysis pre-pass,
-/// fingerprint. This is the exact preparation the checker performs, so a
-/// fingerprint hit guarantees the checker would see an identical module.
-pub fn source_fingerprint(
-    src: &str,
-    file: &str,
-    config: &CheckerConfig,
-) -> Result<ModuleFingerprint, stack_minic::Diag> {
-    let mut module = stack_minic::compile(src, file)?;
-    stack_opt::optimize_for_analysis(&mut module);
-    Ok(module_fingerprint(&module, config))
-}
-
 /// The distributed-scan partition key of one scan input: a stable hash of
-/// the raw source **content** only. Deliberately path-independent and
-/// config-independent — unlike [`module_fingerprint`], which must change
-/// when a file moves, the shard key must stay put when the archive around
-/// the file grows, shrinks, or renames siblings, so a re-sharded scan
-/// reassigns as few modules as possible (the consistent-hashing rationale
-/// applied to scan partitioning).
+/// the raw source **content** only. Deliberately path-independent,
+/// config-independent and computable without compiling: the shard key must
+/// stay put when the archive around the file grows, shrinks, or renames
+/// siblings, so a re-sharded scan reassigns as few modules as possible (the
+/// consistent-hashing rationale applied to scan partitioning).
 pub fn content_key(source: &[u8]) -> u128 {
     hash_bytes(source)
 }
@@ -176,8 +125,8 @@ pub fn shard_assignment(key: u128, shard_count: usize) -> usize {
 
 /// 128-bit mixing step: a splitmix-style finalizer over the two halves,
 /// cross-fed so both halves depend on all inputs. Stable across processes
-/// and platforms (no `RandomState`), which is what lets fingerprints live in
-/// a file between runs.
+/// and platforms (no `RandomState`), which is what lets keys live in a file
+/// between runs.
 #[inline]
 fn mix(acc: u128, value: u128) -> u128 {
     let mut lo = (acc as u64) ^ (value as u64);
@@ -205,10 +154,6 @@ fn hash_bytes(bytes: &[u8]) -> u128 {
 mod tests {
     use super::*;
 
-    fn fp(src: &str) -> ModuleFingerprint {
-        source_fingerprint(src, "test.c", &CheckerConfig::default()).unwrap()
-    }
-
     /// Per-function replay keys of a compiled source, in definition order.
     fn keys(src: &str, file: &str, config: &CheckerConfig) -> Vec<FunctionKey> {
         let mut module = stack_minic::compile(src, file).unwrap();
@@ -218,6 +163,18 @@ mod tests {
             .iter()
             .map(|f| function_replay_key(f, config))
             .collect()
+    }
+
+    /// A module's fingerprint as the scan store sees it: the multiset
+    /// (sorted list) of its functions' replay keys.
+    fn fp_with(src: &str, file: &str, config: &CheckerConfig) -> Vec<FunctionKey> {
+        let mut keys = keys(src, file, config);
+        keys.sort_unstable();
+        keys
+    }
+
+    fn fp(src: &str) -> Vec<FunctionKey> {
+        fp_with(src, "test.c", &CheckerConfig::default())
     }
 
     const TWO_FUNCS: &str = "\
@@ -237,10 +194,16 @@ mod tests {
 
     #[test]
     fn function_reordering_keeps_the_fingerprint() {
-        let reordered = "\
-            int g(int *p) { int v = *p; if (!p) return 1; return v; }\n\
-            int f(int x) { if (x + 7 < x) return 1; return 0; }\n";
-        assert_eq!(fp(TWO_FUNCS), fp(reordered));
+        // Both definitions on one line: reordering them moves no function
+        // to another line.
+        let f = "int f(int x) { if (x + 7 < x) return 1; return 0; }";
+        let g = "int g(int *p) { int v = *p; if (!p) return 1; return v; }";
+        assert_eq!(fp(&format!("{f} {g}\n")), fp(&format!("{g} {f}\n")));
+        // Reordering across lines shifts both functions, and replayed
+        // reports embed line numbers, so both must re-key.
+        let base = fp(TWO_FUNCS);
+        let moved = fp(&format!("{g}\n{f}\n"));
+        assert!(moved.iter().all(|key| !base.contains(key)), "{moved:?}");
     }
 
     #[test]
@@ -274,30 +237,24 @@ mod tests {
     }
 
     #[test]
-    fn module_name_and_config_knobs_participate() {
+    fn config_knobs_participate_but_the_module_name_does_not() {
         let base = fp(TWO_FUNCS);
         let cfg = CheckerConfig::default();
-        assert_ne!(
+        assert_eq!(
             base,
-            source_fingerprint(TWO_FUNCS, "other.c", &cfg).unwrap(),
-            "the module fingerprint identifies a (path, meaning) pair"
+            fp_with(TWO_FUNCS, "other/copy.c", &cfg),
+            "the same bytes under any path share one analysis"
         );
         let budget = CheckerConfig {
             query_budget: cfg.query_budget + 1,
             ..cfg
         };
-        assert_ne!(
-            base,
-            source_fingerprint(TWO_FUNCS, "test.c", &budget).unwrap()
-        );
+        assert_ne!(base, fp_with(TWO_FUNCS, "test.c", &budget));
         let macros = CheckerConfig {
             report_compiler_generated: true,
             ..cfg
         };
-        assert_ne!(
-            base,
-            source_fingerprint(TWO_FUNCS, "test.c", &macros).unwrap()
-        );
+        assert_ne!(base, fp_with(TWO_FUNCS, "test.c", &macros));
         // Performance knobs never change results, so they never change keys.
         let perf = CheckerConfig {
             threads: Some(7),
@@ -305,10 +262,7 @@ mod tests {
             incremental: false,
             ..cfg
         };
-        assert_eq!(
-            base,
-            source_fingerprint(TWO_FUNCS, "test.c", &perf).unwrap()
-        );
+        assert_eq!(base, fp_with(TWO_FUNCS, "test.c", &perf));
     }
 
     #[test]
@@ -409,9 +363,9 @@ mod tests {
         let a = content_key(TWO_FUNCS.as_bytes());
         assert_eq!(a, content_key(TWO_FUNCS.as_bytes()), "stable");
         assert_ne!(a, content_key(b"int f(void) { return 0; }\n"));
-        // Unlike module fingerprints, even a comment changes the key — the
-        // shard key partitions *inputs*, not *meanings*, and must be
-        // computable without compiling.
+        // Even a comment changes the key — the shard key partitions
+        // *inputs*, not *meanings*, and must be computable without
+        // compiling.
         assert_ne!(a, content_key(format!("// c\n{TWO_FUNCS}").as_bytes()));
     }
 

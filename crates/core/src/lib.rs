@@ -13,20 +13,21 @@
 //!    analysis pre-pass (`stack-opt`) promotes locals to SSA;
 //! 2. [`ubcond`] computes the undefined-behavior conditions of Figure 3 for
 //!    every instruction;
-//! 3. [`checker`] runs the solver-based elimination and simplification
-//!    algorithms of §3.2 against the `stack-solver` bit-vector solver, using
-//!    the per-function approximations of §4.4 (dominator-scoped Δ and
-//!    function-local reachability);
+//! 3. an [`AnalysisSession`] runs the solver-based elimination and
+//!    simplification algorithms of §3.2 (described in [`checker`]) against
+//!    the `stack-solver` bit-vector solver, using the per-function
+//!    approximations of §4.4 (dominator-scoped Δ and function-local
+//!    reachability);
 //! 4. [`report`] produces bug reports with the minimal UB set of Figure 8,
 //!    suppressing macro/inline-generated code, and [`classify`] separates
 //!    urgent optimization bugs from time bombs by re-running the surveyed
 //!    compiler profiles of `stack-opt`.
 //!
 //! ```
-//! use stack_core::Checker;
+//! use stack_core::AnalysisSession;
 //!
 //! let src = "int f(int *p) { int v = *p; if (!p) return 1; return v; }";
-//! let result = Checker::new().check_source(src, "demo.c").unwrap();
+//! let result = AnalysisSession::default().check_source(src, "demo.c").unwrap();
 //! assert!(!result.reports.is_empty());
 //! ```
 
@@ -41,12 +42,12 @@ pub mod scanstore;
 pub mod session;
 pub mod ubcond;
 
-pub use checker::{CheckResult, CheckStats, Checker, CheckerConfig};
+pub use checker::{CheckResult, CheckStats, CheckerConfig};
 pub use classify::{classify_source, BugClass};
 pub use encoder::FunctionEncoder;
 pub use fingerprint::{
-    content_key, function_digest, function_replay_key, module_fingerprint, origin_signature,
-    shard_assignment, source_fingerprint, FunctionKey, ModuleFingerprint,
+    content_key, function_digest, function_replay_key, origin_signature, shard_assignment,
+    FunctionKey,
 };
 pub use report::{Algorithm, BugReport, UbSource};
 pub use scan::{ScanEvent, ScanOutcome, ScanPipeline, ScanSource, ScanTask};

@@ -26,8 +26,10 @@
 //! can then vary with timing. Timeout-free scans, and every scan with
 //! `incremental: false`, are byte-identical at every width.
 //!
-//! **Incremental re-scan.** With a [`ScanStore`] attached, every function
-//! of a compiled module is keyed
+//! **Incremental re-scan.** Each task compiles its module and hands it to
+//! the session's one module check (`check_module_replaying`, the method
+//! under [`AnalysisSession::check_module`]). Without a [`ScanStore`]
+//! nothing is replayed. With one attached, every function is keyed
 //! ([`function_replay_key`]) before any solver work: a hit replays the
 //! function's stored raw reports — path-rewritten to the scanning module's
 //! name — without touching the solver and counts the function as skipped
@@ -37,12 +39,12 @@
 //! functions; a module whose functions all replay additionally counts as
 //! skipped ([`CheckStats::modules_skipped`]). The replay key is
 //! path-independent, so identical vendored files across an archive share
-//! one analysis (cross-path dedup). Replayed and fresh raw reports are
-//! re-assembled in function order and run through the *module-level*
-//! dedup/suppression filter, so the surviving stream is byte-identical to
-//! a cold scan's by construction — the key guarantees the checker would
-//! have produced identical raw reports under identical semantics, and the
-//! filter sees the same assembled stream either way.
+//! one analysis (cross-path dedup). The session assembles replayed and
+//! fresh raw reports in function order and runs them through the
+//! *module-level* dedup/suppression filter, so the surviving stream is
+//! byte-identical to a cold scan's by construction — the key guarantees
+//! the checker would have produced identical raw reports under identical
+//! semantics, and the filter sees the same assembled stream either way.
 //!
 //! **Panic containment.** Each task's compile-and-analyze body runs under
 //! `catch_unwind`: a panic anywhere in the front end, the optimizer, or
@@ -67,7 +69,6 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Where one scan task's source comes from. Paths are read only when their
 /// turn comes, so one unreadable file fails that task, not the scan — and a
@@ -99,18 +100,15 @@ pub enum ScanEvent {
     Failure { name: String, error: String },
 }
 
-/// Aggregate outcome of one pipeline run (per-module statistics are merged
-/// into the session as usual; this is the scan-level layer on top).
+/// Aggregate outcome of one pipeline run: the task-level counts. Everything
+/// about the modules that were checked — skips and replays included — is
+/// in the session's [`CheckStats`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ScanOutcome {
     /// Tasks attempted.
     pub files: usize,
-    /// Tasks that failed to read or compile.
+    /// Tasks that failed to read, compile or analyze.
     pub failures: usize,
-    /// Modules all of whose functions replayed from the scan store.
-    pub modules_skipped: usize,
-    /// Functions replayed from the scan store without solver work.
-    pub functions_skipped: usize,
 }
 
 /// The file-parallel scan driver. See the module docs for the pipeline
@@ -123,20 +121,9 @@ pub struct ScanPipeline<'s> {
     panic_on: Option<String>,
 }
 
-/// What one worker produced for one task, parked until its turn to emit.
-enum TaskResult {
-    Analyzed {
-        reports: Vec<BugReport>,
-        functions_skipped: usize,
-    },
-    Skipped {
-        reports: Vec<BugReport>,
-        functions_skipped: usize,
-    },
-    Failed {
-        error: String,
-    },
-}
+/// What one worker produced for one task, parked until its turn to emit:
+/// the module's surviving reports, or why the task failed.
+type TaskResult = Result<Vec<BugReport>, String>;
 
 impl<'s> ScanPipeline<'s> {
     /// A pipeline over `session`, as wide as the session's
@@ -158,9 +145,9 @@ impl<'s> ScanPipeline<'s> {
 
     /// Arm fault injection for this pipeline: analyzing any module whose
     /// name contains `fragment` panics on purpose, exercising the
-    /// containment boundary. Scoped to this pipeline (unlike the
-    /// process-wide [`faultinject::PANIC_ENV`](crate::faultinject::PANIC_ENV)
-    /// variable), so concurrent tests never interfere.
+    /// containment boundary. Scoped to this pipeline, so concurrent tests
+    /// never interfere; `stack scan` arms it from the
+    /// `STACK_FAULTINJECT_PANIC` environment variable.
     pub fn with_injected_panic(mut self, fragment: impl Into<String>) -> ScanPipeline<'s> {
         self.panic_on = Some(fragment.into());
         self
@@ -170,12 +157,9 @@ impl<'s> ScanPipeline<'s> {
     /// order. `sink` must be `Send` because out-of-order workers take turns
     /// flushing the reorder buffer; it is never called concurrently.
     pub fn run(&self, tasks: &[ScanTask], sink: &mut (dyn FnMut(ScanEvent) + Send)) -> ScanOutcome {
-        let outcome = Mutex::new(ScanOutcome {
-            files: tasks.len(),
-            ..ScanOutcome::default()
-        });
         let emitter = Mutex::new(Emitter {
             next: 0,
+            failures: 0,
             pending: HashMap::new(),
             sink,
         });
@@ -201,23 +185,6 @@ impl<'s> ScanPipeline<'s> {
                     let i = next_task.fetch_add(1, Ordering::Relaxed);
                     let Some(task) = tasks.get(i) else { break };
                     let result = self.run_task(task);
-                    {
-                        let mut outcome = outcome
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        match &result {
-                            TaskResult::Failed { .. } => outcome.failures += 1,
-                            TaskResult::Skipped {
-                                functions_skipped, ..
-                            } => {
-                                outcome.modules_skipped += 1;
-                                outcome.functions_skipped += functions_skipped;
-                            }
-                            TaskResult::Analyzed {
-                                functions_skipped, ..
-                            } => outcome.functions_skipped += functions_skipped,
-                        }
-                    }
                     emitter
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -225,15 +192,18 @@ impl<'s> ScanPipeline<'s> {
                 });
             }
         });
-        let outcome = outcome.into_inner().unwrap();
-        debug_assert_eq!(emitter.into_inner().unwrap().next, tasks.len());
-        outcome
+        let emitter = emitter.into_inner().unwrap();
+        debug_assert_eq!(emitter.next, tasks.len());
+        ScanOutcome {
+            files: tasks.len(),
+            failures: emitter.failures,
+        }
     }
 
     /// Process one task end to end: load, compile, key, replay or
     /// analyze. Everything past the source read runs under
     /// `catch_unwind`, so a panic anywhere in the stack degrades the task
-    /// to a `Failed` result instead of aborting the scan.
+    /// to a failure instead of aborting the scan.
     fn run_task(&self, task: &ScanTask) -> TaskResult {
         let read;
         let source: &str = match &task.source {
@@ -243,11 +213,7 @@ impl<'s> ScanPipeline<'s> {
                     read = text;
                     &read
                 }
-                Err(e) => {
-                    return TaskResult::Failed {
-                        error: format!("cannot read: {e}"),
-                    }
-                }
+                Err(e) => return Err(format!("cannot read: {e}")),
             },
         };
         // AssertUnwindSafe: the shared state the closure touches (session
@@ -258,113 +224,55 @@ impl<'s> ScanPipeline<'s> {
             self.analyze_task(source, &task.name)
         })) {
             Ok(result) => result,
-            Err(payload) => TaskResult::Failed {
-                error: format!("panic: {}", panic_message(payload.as_ref())),
-            },
+            Err(payload) => Err(format!("panic: {}", panic_message(payload.as_ref()))),
         }
     }
 
-    /// The panic-containable body of one task: compile, key every
-    /// function, replay hits, analyze misses, record clean results,
-    /// re-assemble and filter the module's report stream.
+    /// The panic-containable body of one task: compile, look every function
+    /// up in the scan store (if any), and run the session's module check
+    /// over the replays, recording each cleanly checked function.
     fn analyze_task(&self, source: &str, name: &str) -> TaskResult {
         if let Some(fragment) = &self.panic_on {
             if name.contains(fragment.as_str()) {
                 panic!("injected fault: panic while analyzing {name}");
             }
         }
-        crate::faultinject::maybe_injected_panic(name);
-        let mut module = match stack_minic::compile(source, name) {
-            Ok(module) => module,
-            Err(e) => {
-                return TaskResult::Failed {
-                    error: e.to_string(),
-                }
-            }
-        };
+        let mut module = stack_minic::compile(source, name).map_err(|e| e.to_string())?;
         stack_opt::optimize_for_analysis(&mut module);
 
-        let Some(store) = &self.scan_store else {
-            // No store: the session's streaming driver does everything
-            // (including merging its stats into the aggregate).
-            let mut reports = Vec::new();
-            self.session
-                .check_module_streaming(&module, &mut |r| reports.push(r));
-            return TaskResult::Analyzed {
-                reports,
-                functions_skipped: 0,
-            };
+        let (keys, replayed) = match &self.scan_store {
+            Some(store) => {
+                let config = self.session.config();
+                let keys: Vec<u128> = module
+                    .functions()
+                    .iter()
+                    .map(|f| function_replay_key(f, config))
+                    .collect();
+                let replayed = keys
+                    .iter()
+                    .map(|&key| store.lookup(key).map(|record| record.replay(name)))
+                    .collect();
+                (keys, replayed)
+            }
+            None => (Vec::new(), vec![None; module.len()]),
         };
-
-        let start = Instant::now();
-        let config = self.session.config();
-        let keys: Vec<u128> = module
-            .functions()
-            .iter()
-            .map(|f| function_replay_key(f, config))
-            .collect();
-        let replayed: Vec<Option<FunctionRecord>> =
-            keys.iter().map(|&key| store.lookup(key)).collect();
-        let skipped = replayed.iter().filter(|r| r.is_some()).count();
-        let select: Vec<bool> = replayed.iter().map(Option::is_none).collect();
-
-        let (checks, mut stats) = if select.contains(&true) {
-            self.session.check_functions_selected(&module, &select)
-        } else {
-            (Vec::new(), CheckStats::default())
-        };
-        // A function with budget-exhausted (degraded) queries is never
-        // recorded: its report set reflects the budget, not the function,
-        // and a later run with a higher budget must re-analyze it. Its
-        // healthy siblings still record and will replay next run.
-        for check in &checks {
-            if check.timeouts == 0 {
-                store.insert(
-                    keys[check.index],
-                    FunctionRecord::normalized(&check.reports, name),
-                );
-            }
-        }
-
-        // Re-assemble the module's raw report stream in function order —
-        // replays path-rewritten to this module's name — and apply the
-        // module-level dedup/suppression filter exactly as a cold
-        // analysis would.
-        let mut fresh: HashMap<usize, Vec<BugReport>> =
-            checks.into_iter().map(|c| (c.index, c.reports)).collect();
-        let raw: Vec<BugReport> = replayed
-            .iter()
-            .enumerate()
-            .flat_map(|(i, slot)| match slot {
-                Some(record) => record.replay(name),
-                None => fresh.remove(&i).unwrap_or_default(),
-            })
-            .collect();
-        let mut by_algorithm = HashMap::new();
-        let mut reports = Vec::new();
-        self.session
-            .filter_module_reports(raw, &mut by_algorithm, &mut |r| reports.push(r));
-
-        let fully_skipped = skipped == keys.len() && !keys.is_empty();
-        stats.modules = 1;
-        stats.modules_skipped = usize::from(fully_skipped);
-        stats.functions += skipped;
-        stats.functions_skipped = skipped;
-        stats.by_algorithm = by_algorithm;
-        stats.elapsed = start.elapsed();
-        self.session.absorb_stats(&stats);
-
-        if fully_skipped {
-            TaskResult::Skipped {
-                reports,
-                functions_skipped: skipped,
-            }
-        } else {
-            TaskResult::Analyzed {
-                reports,
-                functions_skipped: skipped,
-            }
-        }
+        let result = self
+            .session
+            .check_module_replaying(&module, replayed, &mut |check| {
+                // A function with budget-exhausted (degraded) queries is
+                // never recorded: its report set reflects the budget, not
+                // the function, and a later run with a higher budget must
+                // re-analyze it. Its healthy siblings still record.
+                if let Some(store) = &self.scan_store {
+                    if check.timeouts == 0 {
+                        store.insert(
+                            keys[check.index],
+                            FunctionRecord::normalized(&check.reports, name),
+                        );
+                    }
+                }
+            });
+        Ok(result.reports)
     }
 }
 
@@ -384,6 +292,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// sink sees events in task order no matter which worker finished first.
 struct Emitter<'a> {
     next: usize,
+    failures: usize,
     pending: HashMap<usize, TaskResult>,
     sink: &'a mut (dyn FnMut(ScanEvent) + Send),
 }
@@ -394,15 +303,18 @@ impl Emitter<'_> {
         while let Some(result) = self.pending.remove(&self.next) {
             let name = &tasks[self.next].name;
             match result {
-                TaskResult::Analyzed { reports, .. } | TaskResult::Skipped { reports, .. } => {
+                Ok(reports) => {
                     for report in reports {
                         (self.sink)(ScanEvent::Report(report));
                     }
                 }
-                TaskResult::Failed { error } => (self.sink)(ScanEvent::Failure {
-                    name: name.clone(),
-                    error,
-                }),
+                Err(error) => {
+                    self.failures += 1;
+                    (self.sink)(ScanEvent::Failure {
+                        name: name.clone(),
+                        error,
+                    });
+                }
             }
             self.next += 1;
         }
@@ -498,8 +410,8 @@ mod tests {
         let outcome = ScanPipeline::new(&cold_session)
             .with_scan_store(store.clone())
             .run(&tasks, &mut |e| cold.push(format!("{e:?}")));
-        assert_eq!(outcome.modules_skipped, 0);
-        assert_eq!(outcome.functions_skipped, 0);
+        assert_eq!(cold_session.stats().modules_skipped, 0);
+        assert_eq!(cold_session.stats().functions_skipped, 0);
         assert_eq!(outcome.failures, 1);
         assert!(store.save().unwrap() > 0);
 
@@ -511,8 +423,6 @@ mod tests {
             .run(&tasks, &mut |e| warm.push(format!("{e:?}")));
         assert_eq!(cold, warm, "replayed stream must be byte-identical");
         // Every compiling module is skipped; the broken file still fails.
-        assert_eq!(outcome.modules_skipped, tasks.len() - 1);
-        assert_eq!(outcome.functions_skipped, 2 * (tasks.len() - 1));
         assert_eq!(outcome.failures, 1);
         let stats = warm_session.stats();
         assert_eq!(stats.modules_skipped, tasks.len() - 1);
@@ -551,21 +461,19 @@ mod tests {
             }]
         };
         let store2 = Arc::new(ScanStore::open(&path).unwrap());
-        let session2 = AnalysisSession::new(config);
-        let outcome = ScanPipeline::new(&session2)
-            .with_scan_store(store2.clone())
-            .run(
-                &edited("int f(int x) { if (x + 2 < x) return 1; return 0; }\n"),
-                &mut |_| {},
-            );
-        assert_eq!(outcome.modules_skipped, 0);
-        assert_eq!(outcome.functions_skipped, 0);
-        let outcome = ScanPipeline::new(&session2).with_scan_store(store2).run(
-            &edited("int f(int x) {  /* note */ if (x + 1 < x) return 1; return 0; }\n"),
-            &mut |_| {},
-        );
-        assert_eq!(outcome.modules_skipped, 1);
-        assert_eq!(outcome.functions_skipped, 1);
+        let rescan = |src: &str| {
+            let session = AnalysisSession::new(config);
+            ScanPipeline::new(&session)
+                .with_scan_store(store2.clone())
+                .run(&edited(src), &mut |_| {});
+            session.stats()
+        };
+        let stats = rescan("int f(int x) { if (x + 2 < x) return 1; return 0; }\n");
+        assert_eq!(stats.modules_skipped, 0);
+        assert_eq!(stats.functions_skipped, 0);
+        let stats = rescan("int f(int x) {  /* note */ if (x + 1 < x) return 1; return 0; }\n");
+        assert_eq!(stats.modules_skipped, 1);
+        assert_eq!(stats.functions_skipped, 1);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -604,15 +512,14 @@ mod tests {
         let store2 = Arc::new(ScanStore::open(&path).unwrap());
         let warm_session = AnalysisSession::new(config);
         let mut warm = Vec::new();
-        let outcome = ScanPipeline::new(&warm_session)
+        ScanPipeline::new(&warm_session)
             .with_scan_store(store2.clone())
             .run(&task(src(2)), &mut |e| warm.push(format!("{e:?}")));
         assert_eq!(reference, warm);
-        assert_eq!(outcome.modules_skipped, 0);
-        assert_eq!(outcome.functions_skipped, 2, "g and h replayed");
         let stats = warm_session.stats();
+        assert_eq!(stats.modules_skipped, 0);
         assert_eq!(stats.functions, 3);
-        assert_eq!(stats.functions_skipped, 2);
+        assert_eq!(stats.functions_skipped, 2, "g and h replayed");
         assert!(
             stats.queries > 0 && stats.queries < cold_session.stats().queries,
             "only the edited function touched the solver: {} vs cold {}",
@@ -623,11 +530,11 @@ mod tests {
         store2.save().unwrap();
         let store3 = Arc::new(ScanStore::open(&path).unwrap());
         let session3 = AnalysisSession::new(config);
-        let outcome = ScanPipeline::new(&session3)
+        ScanPipeline::new(&session3)
             .with_scan_store(store3)
             .run(&task(src(2)), &mut |_| {});
-        assert_eq!(outcome.modules_skipped, 1);
-        assert_eq!(outcome.functions_skipped, 3);
+        assert_eq!(session3.stats().modules_skipped, 1);
+        assert_eq!(session3.stats().functions_skipped, 3);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -657,16 +564,16 @@ mod tests {
         let store = Arc::new(ScanStore::open(&path).unwrap());
         let session = AnalysisSession::new(config);
         let mut events = Vec::new();
-        let outcome = ScanPipeline::new(&session)
+        ScanPipeline::new(&session)
             .with_scan_store(store.clone())
             .run(&both, &mut |e| events.push(e));
+        let stats = session.stats();
         assert_eq!(
-            session.stats().queries,
-            one_file_queries,
+            stats.queries, one_file_queries,
             "the duplicate must not issue new queries"
         );
-        assert_eq!(outcome.functions_skipped, 1);
-        assert_eq!(outcome.modules_skipped, 1);
+        assert_eq!(stats.functions_skipped, 1);
+        assert_eq!(stats.modules_skipped, 1);
         assert_eq!(store.stats().entries, 1, "one record serves both paths");
         // Each copy's reports carry its own path.
         let files: Vec<&str> = events
@@ -715,12 +622,13 @@ mod tests {
         // fails to record).
         let store2 = Arc::new(ScanStore::open(&path).unwrap());
         let session2 = AnalysisSession::new(config);
-        let outcome = ScanPipeline::new(&session2)
+        ScanPipeline::new(&session2)
             .with_scan_store(store2.clone())
             .run(&tasks, &mut |_| {});
-        assert_eq!(outcome.functions_skipped, 1);
-        assert_eq!(outcome.modules_skipped, 0);
-        assert!(session2.stats().queries > 0);
+        let stats = session2.stats();
+        assert_eq!(stats.functions_skipped, 1);
+        assert_eq!(stats.modules_skipped, 0);
+        assert!(stats.queries > 0);
         assert_eq!(store2.stats().entries, 1);
         std::fs::remove_file(&path).unwrap();
     }

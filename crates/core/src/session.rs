@@ -14,23 +14,26 @@
 //!   every module;
 //! * it accumulates **aggregate statistics** ([`CheckStats`]) across
 //!   modules, so an archive scan can report totals without retaining
-//!   per-module results;
-//! * its streaming entry point ([`check_module_streaming`]) hands each
-//!   [`BugReport`] to a sink as the module finishes, so a scan over
-//!   thousands of files never holds more than one module's reports in
-//!   memory.
+//!   per-module results.
+//!
+//! Every module goes through one method, `check_module_replaying`: it
+//! checks the functions that were not replayed, assembles their raw
+//! reports with the replayed ones in function order, applies the
+//! module-level dedup/suppression filter, and folds the module's
+//! statistics into the aggregate once. [`check_module`] and
+//! [`check_source`] call it with nothing replayed; the
+//! [`ScanPipeline`](crate::scan::ScanPipeline) calls it with its scan-store
+//! hits.
 //!
 //! A session is sequential: it checks a module's functions one after
 //! another on one solver and spawns no threads. It is shared by reference,
-//! so the file-level workers of [`ScanPipeline`](crate::scan::ScanPipeline)
-//! — the only scheduler — drive one session concurrently, one module per
-//! worker. [`CheckerConfig::threads`] is that pipeline's width; the session
-//! itself never reads it.
+//! so the file-level workers of the pipeline — the only scheduler — drive
+//! one session concurrently, one module per worker.
+//! [`CheckerConfig::threads`] is that pipeline's width; the session itself
+//! never reads it.
 //!
-//! The one-shot [`Checker`](crate::checker::Checker) is a thin wrapper over
-//! a session; existing call sites keep working unchanged.
-//!
-//! [`check_module_streaming`]: AnalysisSession::check_module_streaming
+//! [`check_module`]: AnalysisSession::check_module
+//! [`check_source`]: AnalysisSession::check_source
 
 use crate::checker::{CheckResult, CheckStats, CheckerConfig};
 use crate::encoder::FunctionEncoder;
@@ -120,9 +123,8 @@ impl AnalysisSession {
             .clone()
     }
 
-    /// Fold externally produced per-module statistics into the session
-    /// aggregate — how the scan pipeline accounts for modules it replayed
-    /// from the scan store without driving the checker.
+    /// Fold statistics into the session aggregate: each module's, once, and
+    /// the width of a scan pipeline run over the session.
     pub(crate) fn absorb_stats(&self, stats: &CheckStats) {
         self.aggregate
             .lock()
@@ -153,71 +155,77 @@ impl AnalysisSession {
         Ok(self.check_module(&module))
     }
 
-    /// Streaming variant of [`check_source`](AnalysisSession::check_source):
-    /// reports go to `sink` instead of a vector.
-    pub fn check_source_streaming(
-        &self,
-        src: &str,
-        file: &str,
-        sink: &mut dyn FnMut(BugReport),
-    ) -> Result<CheckStats, stack_minic::Diag> {
-        let mut module = stack_minic::compile(src, file)?;
-        stack_opt::optimize_for_analysis(&mut module);
-        Ok(self.check_module_streaming(&module, sink))
+    /// Check every function of an (already optimized-for-analysis) module,
+    /// collecting the reports; the module's statistics are also merged into
+    /// the session aggregate. Functions are checked in order on one solver.
+    /// (What the shared query store may change about the reports is stated
+    /// in the [`scan`](crate::scan) module docs.)
+    pub fn check_module(&self, module: &Module) -> CheckResult {
+        self.check_module_replaying(module, vec![None; module.len()], &mut |_| {})
     }
 
-    /// Check every function of an (already optimized-for-analysis) module,
-    /// collecting the reports. Thin wrapper over
-    /// [`check_module_streaming`](AnalysisSession::check_module_streaming).
-    pub fn check_module(&self, module: &Module) -> CheckResult {
-        let mut reports = Vec::new();
-        let stats = self.check_module_streaming(module, &mut |r| reports.push(r));
+    /// Check a module some of whose functions are answered already — the
+    /// one place a module's report stream and statistics are put together.
+    /// `replayed[i]` holds function *i*'s raw reports when they were
+    /// replayed (the scan pipeline's scan-store hits, already rewritten to
+    /// this module's name) and `None` when the function must be checked.
+    /// The functions to check go through
+    /// [`check_functions_selected`](AnalysisSession::check_functions_selected),
+    /// and each comes back through `record` before any filtering (the
+    /// pipeline records it for replay). Replayed and fresh raw reports are
+    /// then assembled in function order and filtered: identical (location,
+    /// function, algorithm) reports are dropped — first wins, which is why
+    /// the scan store records raw reports — and so are macro/inline-generated
+    /// ones unless [`CheckerConfig::report_compiler_generated`] is set.
+    ///
+    /// The returned statistics count replays as skipped functions, and the
+    /// module as skipped when every one of its functions replayed; they are
+    /// merged into the session aggregate here, once.
+    pub(crate) fn check_module_replaying(
+        &self,
+        module: &Module,
+        replayed: Vec<Option<Vec<BugReport>>>,
+        record: &mut dyn FnMut(&FunctionCheck),
+    ) -> CheckResult {
+        let start = Instant::now();
+        let select: Vec<bool> = replayed.iter().map(Option::is_none).collect();
+        let skipped = select.iter().filter(|&&checked| !checked).count();
+        let (checks, mut stats) = self.check_functions_selected(module, &select);
+        for check in &checks {
+            record(check);
+        }
+
+        let mut fresh = checks.into_iter().map(|check| check.reports);
+        let mut seen = HashSet::new();
+        let reports: Vec<BugReport> = replayed
+            .into_iter()
+            .flat_map(|slot| slot.unwrap_or_else(|| fresh.next().unwrap_or_default()))
+            .filter(|report| {
+                seen.insert((report.location(), report.function.clone(), report.algorithm))
+                    && (self.config.report_compiler_generated || !report.compiler_generated)
+            })
+            .collect();
+        for report in &reports {
+            *stats.by_algorithm.entry(report.algorithm).or_insert(0) += 1;
+        }
+
+        stats.functions += skipped;
+        stats.functions_skipped = skipped;
+        stats.modules_skipped = usize::from(skipped > 0 && skipped == module.len());
+        stats.elapsed = start.elapsed();
+        self.absorb_stats(&stats);
         CheckResult { reports, stats }
     }
 
-    /// Check every function of an (already optimized-for-analysis) module,
-    /// handing each surviving report to `sink` and returning the module's
-    /// statistics (also merged into the session aggregate). An archive scan
-    /// that prints or counts reports as they appear never retains them.
-    /// Functions are checked in order on one solver. (What the shared
-    /// query store may change about the stream is stated in the
-    /// [`scan`](crate::scan) module docs.)
-    pub fn check_module_streaming(
-        &self,
-        module: &Module,
-        sink: &mut dyn FnMut(BugReport),
-    ) -> CheckStats {
-        let start = Instant::now();
-        let select = vec![true; module.len()];
-        let (checks, mut stats) = self.check_functions_selected(module, &select);
-        let mut by_algorithm: HashMap<Algorithm, usize> = HashMap::new();
-        self.filter_module_reports(
-            checks.into_iter().flat_map(|c| c.reports),
-            &mut by_algorithm,
-            sink,
-        );
-        stats.by_algorithm = by_algorithm;
-        stats.elapsed = start.elapsed();
-        self.aggregate
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .merge(&stats);
-        stats
-    }
-
     /// Check a *selected subset* of a module's functions — the primitive
-    /// under both [`check_module_streaming`] (everything selected) and the
-    /// scan pipeline's per-function incremental re-scan (only the functions
-    /// whose replay keys missed the scan store). Returns one
-    /// [`FunctionCheck`] per selected function, in function order, carrying
-    /// **raw** reports — the crate-internal module-level dedup/suppression
-    /// filter is the caller's job, because replayed and fresh reports must
-    /// pass through it together — plus the statistics of the work done
-    /// (`functions` counts only the selection; nothing is merged into the
-    /// session aggregate — callers compose the final per-module statistics
-    /// and absorb them once).
-    ///
-    /// [`check_module_streaming`]: AnalysisSession::check_module_streaming
+    /// under the session's one module check, which selects the functions
+    /// that were not replayed (every function, for
+    /// [`check_module`](AnalysisSession::check_module)). Returns one [`FunctionCheck`] per selected
+    /// function, in function order, carrying **raw** reports (before the
+    /// module-level filter, which must see replayed and fresh reports
+    /// together), plus the statistics of the work done: `functions` counts
+    /// only the selection, and nothing is merged into the session
+    /// aggregate.
     pub fn check_functions_selected(
         &self,
         module: &Module,
@@ -275,33 +283,8 @@ impl AnalysisSession {
         (checks, stats)
     }
 
-    /// The module-level report filter: deduplicate identical (location,
-    /// function, algorithm) reports, then apply the macro/inline
-    /// suppression, streaming what survives to `sink` and counting it in
-    /// `by_algorithm`. Order-sensitive (the seen-set is first-wins), so
-    /// callers feed the assembled per-function streams in function order —
-    /// which is why the scan store records raw pre-filter reports.
-    pub(crate) fn filter_module_reports(
-        &self,
-        raw: impl IntoIterator<Item = BugReport>,
-        by_algorithm: &mut HashMap<Algorithm, usize>,
-        sink: &mut dyn FnMut(BugReport),
-    ) {
-        let mut seen = HashSet::new();
-        for report in raw {
-            if !seen.insert((report.location(), report.function.clone(), report.algorithm)) {
-                continue;
-            }
-            if !self.config.report_compiler_generated && report.compiler_generated {
-                continue;
-            }
-            *by_algorithm.entry(report.algorithm).or_insert(0) += 1;
-            sink(report);
-        }
-    }
-
-    /// Check a single function.
-    pub fn check_function(&self, func: &Function, solver: &mut BvSolver) -> Vec<BugReport> {
+    /// Check a single function on `solver`, returning its raw reports.
+    fn check_function(&self, func: &Function, solver: &mut BvSolver) -> Vec<BugReport> {
         let mut enc = FunctionEncoder::new(func);
         let ub_conds = collect_ub_conditions(func, &mut enc);
         let mut reports = Vec::new();
@@ -688,18 +671,29 @@ mod tests {
 
     #[test]
     fn streaming_and_collecting_agree() {
-        let session = AnalysisSession::new(CheckerConfig::default());
-        let collected = session.check_source(TWO_FUNCTION_SRC, "a.c").unwrap();
-        let mut streamed = Vec::new();
-        let stats = session
-            .check_source_streaming(TWO_FUNCTION_SRC, "a.c", &mut |r| streamed.push(r))
+        // The scan pipeline streams a module's reports as events; the
+        // session collects them. Both go through the one module check.
+        use crate::scan::{ScanEvent, ScanPipeline, ScanSource, ScanTask};
+        let collected = AnalysisSession::default()
+            .check_source(TWO_FUNCTION_SRC, "a.c")
             .unwrap();
+        let session = AnalysisSession::default();
+        let mut streamed = Vec::new();
+        let task = ScanTask {
+            name: "a.c".to_string(),
+            source: ScanSource::Inline(TWO_FUNCTION_SRC.to_string()),
+        };
+        ScanPipeline::new(&session).run(&[task], &mut |event| {
+            if let ScanEvent::Report(r) = event {
+                streamed.push(r);
+            }
+        });
         assert_eq!(
             format!("{:?}", collected.reports),
             format!("{streamed:?}"),
             "streamed reports must match collected reports, in order"
         );
-        assert_eq!(stats.queries, collected.stats.queries);
+        assert_eq!(session.stats().queries, collected.stats.queries);
     }
 
     #[test]

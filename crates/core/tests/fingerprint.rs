@@ -1,11 +1,14 @@
-//! Property coverage for the canonical module fingerprint: for random
-//! modules drawn from the unstable-idiom template pool, the fingerprint is
-//! invariant under formatting/comment-only source changes and under
-//! function reordering, but changes whenever an instruction, a UB
-//! condition, or a semantics-relevant config knob changes.
+//! Property coverage for a module's fingerprint as the scan store sees it:
+//! the multiset of its functions' replay keys. For random modules drawn
+//! from the unstable-idiom template pool, it is invariant under same-line
+//! formatting/comment changes and under reordering definitions that share
+//! a line, but changes whenever an instruction, a UB condition, or a
+//! semantics-relevant config knob changes. A comment that pushes functions
+//! onto later lines re-keys exactly those functions, because replayed
+//! reports embed line numbers.
 
 use proptest::prelude::*;
-use stack_core::{source_fingerprint, CheckerConfig};
+use stack_core::{function_replay_key, CheckerConfig, FunctionKey};
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -37,17 +40,17 @@ fn random_module(state: &mut u64) -> Vec<String> {
         .collect()
 }
 
-/// A cosmetic rewrite of a module: random comments and blank lines between
-/// definitions (shifting later lines), plus doubled inter-token spacing —
-/// everything the lexer throws away.
+/// A same-line cosmetic rewrite of a module rendered on one line: random
+/// spacing and block comments between definitions, plus doubled
+/// inter-token spacing — everything the lexer throws away, and no newline.
 fn cosmetic_rewrite(functions: &[String], state: &mut u64) -> String {
     let mut out = String::new();
     for f in functions {
         match lcg(state) % 4 {
-            0 => out.push_str("// a line comment\n"),
-            1 => out.push_str("/* a block\n   comment */\n\n"),
-            2 => out.push('\n'),
-            _ => {}
+            0 => out.push_str(" /* a block comment */ "),
+            1 => out.push('\t'),
+            2 => out.push_str("   "),
+            _ => out.push(' '),
         }
         let spaced = if lcg(state).is_multiple_of(2) {
             f.replace(" { ", "  {  ").replace("; ", ";   ")
@@ -55,16 +58,34 @@ fn cosmetic_rewrite(functions: &[String], state: &mut u64) -> String {
             f.clone()
         };
         out.push_str(&spaced);
-        out.push('\n');
     }
     if lcg(state).is_multiple_of(2) {
-        out.push_str("   \n/* trailing */\n");
+        out.push_str("   /* trailing */");
     }
+    out.push('\n');
     out
 }
 
-fn fp(src: &str) -> u128 {
-    source_fingerprint(src, "prop.c", &CheckerConfig::default()).expect("module compiles")
+/// Replay keys of a compiled module, in definition order.
+fn keys_with(src: &str, config: &CheckerConfig) -> Vec<FunctionKey> {
+    let mut module = stack_minic::compile(src, "prop.c").expect("module compiles");
+    stack_opt::optimize_for_analysis(&mut module);
+    module
+        .functions()
+        .iter()
+        .map(|f| function_replay_key(f, config))
+        .collect()
+}
+
+/// The module's fingerprint: its replay keys as a multiset (sorted).
+fn fp_with(src: &str, config: &CheckerConfig) -> Vec<FunctionKey> {
+    let mut keys = keys_with(src, config);
+    keys.sort_unstable();
+    keys
+}
+
+fn fp(src: &str) -> Vec<FunctionKey> {
+    fp_with(src, &CheckerConfig::default())
 }
 
 proptest! {
@@ -74,11 +95,14 @@ proptest! {
     fn cosmetic_rewrites_and_reordering_preserve_the_fingerprint(seed in 0u64..1_000_000) {
         let mut state = seed.wrapping_mul(0x9e37_79b9).wrapping_add(7);
         let functions = random_module(&mut state);
-        let base = fp(&(functions.join("\n") + "\n"));
+        // Every definition on line 1, so reordering moves no line.
+        let plain = functions.join(" ") + "\n";
+        let base = fp(&plain);
 
-        // Two independent cosmetic rewrites agree with the plain rendering.
+        // Two independent same-line cosmetic rewrites agree with the plain
+        // rendering.
         for _ in 0..2 {
-            prop_assert_eq!(base, fp(&cosmetic_rewrite(&functions, &mut state)));
+            prop_assert_eq!(&base, &fp(&cosmetic_rewrite(&functions, &mut state)));
         }
 
         // Any rotation of the definition order agrees (semantics per
@@ -87,9 +111,25 @@ proptest! {
             let rot = 1 + (lcg(&mut state) as usize) % (functions.len() - 1);
             let mut rotated = functions.clone();
             rotated.rotate_left(rot);
-            prop_assert_eq!(base, fp(&(rotated.join("\n") + "\n")));
+            prop_assert_eq!(&base, &fp(&(rotated.join(" ") + "\n")));
             // Reordering *and* reformatting at once still agrees.
-            prop_assert_eq!(base, fp(&cosmetic_rewrite(&rotated, &mut state)));
+            prop_assert_eq!(&base, &fp(&cosmetic_rewrite(&rotated, &mut state)));
+        }
+
+        // A line comment before definition `j` pushes it and every later
+        // definition to line 2: exactly those re-key, because replayed
+        // reports embed line numbers.
+        let j = (lcg(&mut state) as usize) % functions.len();
+        let shifted = format!(
+            "{} // pushed down\n{}\n",
+            functions[..j].join(" "),
+            functions[j..].join(" ")
+        );
+        let before = keys_with(&plain, &CheckerConfig::default());
+        let after = keys_with(&shifted, &CheckerConfig::default());
+        prop_assert_eq!(&before[..j], &after[..j]);
+        for i in j..functions.len() {
+            prop_assert!(before[i] != after[i], "function {} moved but kept its key", i);
         }
     }
 
@@ -128,7 +168,7 @@ proptest! {
         let cfg = CheckerConfig::default();
         let budget = CheckerConfig { query_budget: cfg.query_budget / 2, ..cfg };
         prop_assert!(
-            base != source_fingerprint(&source, "prop.c", &budget).unwrap(),
+            base != fp_with(&source, &budget),
             "query_budget must re-key"
         );
         let perf = CheckerConfig {
@@ -137,6 +177,6 @@ proptest! {
             incremental: false,
             ..cfg
         };
-        prop_assert_eq!(base, source_fingerprint(&source, "prop.c", &perf).unwrap());
+        prop_assert_eq!(base, fp_with(&source, &perf));
     }
 }

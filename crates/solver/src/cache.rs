@@ -33,7 +33,7 @@
 //!
 //! The cache is the sharded table every store uses (`record.rs`: one
 //! `Mutex<HashMap>` per shard, shard picked by key hash), shared across the
-//! parallel checker's worker threads through an [`Arc`](std::sync::Arc).
+//! scan pipeline's worker threads through an [`Arc`](std::sync::Arc).
 
 use crate::record::Table;
 use crate::solver::QueryResult;

@@ -78,24 +78,6 @@ pub struct SolverStats {
     pub reused_clauses: u64,
 }
 
-impl SolverStats {
-    /// Fold another solver's counters into this one. The parallel checker
-    /// runs one [`BvSolver`] per worker thread and merges their statistics
-    /// at the end; summing every field keeps the aggregate identical to what
-    /// a single sequential solver would have reported.
-    pub fn merge(&mut self, other: &SolverStats) {
-        self.queries += other.queries;
-        self.sat += other.sat;
-        self.unsat += other.unsat;
-        self.timeouts += other.timeouts;
-        self.sat_core.merge(&other.sat_core);
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.incremental_queries += other.incremental_queries;
-        self.reused_clauses += other.reused_clauses;
-    }
-}
-
 /// The bit-vector solver.
 #[derive(Debug)]
 pub struct BvSolver {

@@ -8,7 +8,7 @@
 //! implementations exist:
 //!
 //! * [`QueryCache`] — the sharded in-memory table of `cache.rs`, shared
-//!   across the parallel checker's worker threads. Dies with the process.
+//!   across the scan pipeline's worker threads. Dies with the process.
 //! * [`DiskQueryStore`] — the same table persisted as a record file
 //!   (`record.rs`: versioned header, checksummed lines, salvage,
 //!   generations, compaction, atomic saves, merge), so the next process —
@@ -73,8 +73,8 @@ pub const ENCODING_REVISION: u32 = 1;
 ///
 /// `lookup` returns a previously decided result for a canonical key (and
 /// counts a hit or miss); `insert` stores a decided result (`Unknown` must
-/// be ignored). Implementations are shared across worker threads through an
-/// `Arc`, so both methods take `&self`.
+/// be ignored). Implementations are shared across the scan pipeline's
+/// worker threads through an `Arc`, so both methods take `&self`.
 pub trait QueryStore: Send + Sync + std::fmt::Debug {
     /// Look up a decided result for `key`, updating hit/miss counters.
     fn lookup(&self, key: &CacheKey) -> Option<QueryResult>;

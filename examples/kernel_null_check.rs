@@ -4,15 +4,15 @@
 //!
 //! Run with: `cargo run --example kernel_null_check`
 
-use stack_core::{classify_source, Checker};
+use stack_core::{classify_source, AnalysisSession};
 use stack_corpus::{FIG11_STRCHR_NULL_CHECK, FIG2_TUN_NULL_CHECK};
 
 fn main() {
-    let checker = Checker::new();
+    let session = AnalysisSession::default();
     for pattern in [FIG2_TUN_NULL_CHECK, FIG11_STRCHR_NULL_CHECK] {
         println!("=== {} ({}) ===", pattern.id, pattern.paper_ref);
         println!("{}\n", pattern.source);
-        let result = checker
+        let result = session
             .check_source(pattern.source, &format!("{}.c", pattern.id))
             .unwrap();
         for report in &result.reports {

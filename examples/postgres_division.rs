@@ -5,18 +5,18 @@
 //!
 //! Run with: `cargo run --example postgres_division`
 
-use stack_core::{classify_source, Checker};
+use stack_core::{classify_source, AnalysisSession};
 use stack_corpus::{FIG10_POSTGRES_DIVISION, FIG14_POSTGRES_TIMEBOMB};
 
 fn main() {
-    let checker = Checker::new();
+    let session = AnalysisSession::default();
     for (pattern, note) in [
         (FIG10_POSTGRES_DIVISION, "original int8div overflow check"),
         (FIG14_POSTGRES_TIMEBOMB, "developers' replacement check"),
     ] {
         println!("=== {note} ({}) ===", pattern.paper_ref);
         println!("{}\n", pattern.source);
-        let result = checker
+        let result = session
             .check_source(pattern.source, &format!("{}.c", pattern.id))
             .unwrap();
         for report in &result.reports {

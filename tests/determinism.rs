@@ -86,8 +86,32 @@ fn cache_does_not_change_reports() {
 /// solver work, so they must not depend on the pipeline width.
 type SatCounters = [u64; 4];
 
+/// The SAT-core work counters of a session's aggregate statistics, after
+/// checking that nothing was a cache hit (there is no query store) and
+/// that only incremental runs answered on persistent per-function
+/// instances, reusing the clauses they already loaded.
+fn sat_counters(session: &AnalysisSession, incremental: bool) -> SatCounters {
+    let stats = session.stats();
+    assert_eq!(stats.cache_hits, 0, "{stats:?}");
+    assert_eq!(stats.incremental_queries > 0, incremental, "{stats:?}");
+    assert_eq!(stats.reused_clauses > 0, incremental, "{stats:?}");
+    [
+        stats.queries,
+        stats.propagations,
+        stats.conflicts,
+        stats.learned_clauses,
+    ]
+}
+
 /// Scan a seeded six-package archive without the query cache, so every
 /// query reaches the solver: its report stream and SAT-core counters.
+///
+/// Every module goes through one check whichever way it is driven, so the
+/// pipeline without a scan store, the pipeline over an empty scan store
+/// (a cold scan: every lookup misses), and a per-file `check_source` loop
+/// must all produce the same report stream and the same counters.
+/// Uncached counters do not depend on scheduling, so this holds at every
+/// width.
 fn uncached_archive_reports(
     seed: u64,
     incremental: bool,
@@ -98,39 +122,61 @@ fn uncached_archive_reports(
         seed,
         ..ArchiveConfig::default()
     };
-    let tasks: Vec<ScanTask> = generate_archive(&archive_cfg)
-        .into_iter()
+    let files = generate_archive(&archive_cfg);
+    let tasks: Vec<ScanTask> = files
+        .iter()
         .map(|f| ScanTask {
-            name: f.name,
-            source: ScanSource::Inline(f.source),
+            name: f.name.clone(),
+            source: ScanSource::Inline(f.source.clone()),
         })
         .collect();
-    let session = AnalysisSession::new(CheckerConfig {
+    let config = CheckerConfig {
         threads: Some(jobs),
         query_cache: false,
         incremental,
         ..CheckerConfig::default()
-    });
-    let mut reports = Vec::new();
-    ScanPipeline::new(&session).run(&tasks, &mut |event| {
-        if let ScanEvent::Report(r) = event {
-            reports.push(format!("{r:?}"));
+    };
+    let scan = |scan_store: Option<Arc<ScanStore>>| {
+        let session = AnalysisSession::new(config);
+        let mut pipeline = ScanPipeline::new(&session);
+        if let Some(store) = scan_store {
+            pipeline = pipeline.with_scan_store(store);
         }
-    });
-    let stats = session.stats();
-    // Without a query store nothing is a cache hit. Only incremental scans
-    // answer on persistent per-function instances, and those reuse the
-    // clauses they already loaded.
-    assert_eq!(stats.cache_hits, 0, "{stats:?}");
-    assert_eq!(stats.incremental_queries > 0, incremental, "{stats:?}");
-    assert_eq!(stats.reused_clauses > 0, incremental, "{stats:?}");
-    let counters = [
-        stats.queries,
-        stats.propagations,
-        stats.conflicts,
-        stats.learned_clauses,
-    ];
-    (reports, counters)
+        let mut reports = Vec::new();
+        pipeline.run(&tasks, &mut |event| {
+            if let ScanEvent::Report(r) = event {
+                reports.push(format!("{r:?}"));
+            }
+        });
+        (reports, sat_counters(&session, incremental))
+    };
+
+    let no_store = scan(None);
+    // Opened but never saved, so nothing is written.
+    let empty_store = std::env::temp_dir().join(format!(
+        "stack-determinism-uncached-{}-{seed:x}-{incremental}-{jobs}.ss",
+        std::process::id()
+    ));
+    let cold = scan(Some(Arc::new(
+        ScanStore::open(&empty_store).expect("open scan store"),
+    )));
+    assert!(!empty_store.exists());
+    assert_eq!(no_store, cold, "no scan store vs a cold one (jobs={jobs})");
+
+    let session = AnalysisSession::new(config);
+    let mut per_file = Vec::new();
+    for file in &files {
+        let result = session
+            .check_source(&file.source, &file.name)
+            .expect("archive files compile");
+        per_file.extend(result.reports.iter().map(|r| format!("{r:?}")));
+    }
+    assert_eq!(
+        no_store,
+        (per_file, sat_counters(&session, incremental)),
+        "pipeline vs per-file check_source (jobs={jobs})"
+    );
+    no_store
 }
 
 /// The solver-granularity contract: with every query decided (no budget),
@@ -198,11 +244,10 @@ fn archive_run(path: &std::path::Path) -> (Vec<String>, stack_repro::core::Check
     let session = AnalysisSession::with_store(CheckerConfig::default(), store.clone() as _);
     let mut reports = Vec::new();
     for file in generate_archive(&archive_cfg) {
-        session
-            .check_source_streaming(&file.source, &file.name, &mut |r| {
-                reports.push(format!("{r:?}"));
-            })
+        let result = session
+            .check_source(&file.source, &file.name)
             .expect("archive files compile");
+        reports.extend(result.reports.iter().map(|r| format!("{r:?}")));
     }
     store.save().expect("save cache file");
     (reports, session.stats())
